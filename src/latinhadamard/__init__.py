@@ -15,19 +15,18 @@ from .chisq import (CellCounts, Decomposition, Eigenbasis, ProbabilityVector,
                     alternate_signed_square_8, canonical_signed_square_8,
                     component_formulas_t2_t6_t8, decompose,
                     eigen_interlacing_check, eigenbasis_from_latin_hadamard,
-                    eigenbasis_from_sign_matrix, jacobi_eigenvalues,
-                    pearson_x2, scaled_residuals, sigma, sigma_star,
-                    sylvester_hadamard)
-from .coloring import (SignedLatinSquare, SymbolicGram, choices_from_bitstring,
+                    eigenbasis_from_sign_matrix, pearson_x2, scaled_residuals,
+                    sigma, sigma_star, sylvester_hadamard)
+from .coloring import (SignedLatinSquare, choices_from_bitstring,
                        choices_to_bitstring, color, enumerate_colorings,
                        is_latin_hadamard, num_free_choices,
-                       partial_orthogonality_report, sign_pattern_is_hadamard,
-                       symbolic_gram)
+                       partial_orthogonality_report, sign_pattern_is_hadamard)
 from .design import (OrthogonalDesign, builtin_design_16, design_to_eigenbasis,
                      verify_design)
 from .errors import InternalConsistencyError, SizeError, ValidationError
 from .latin import (CornerQuad, LatinSquare, construct_latin_square,
-                    enumerate_abba_quads, find_abba_partner)
+                    enumerate_abba_quads, find_abba_partner,
+                    quad_sign_products)
 from .power import (BinningScheme, DistributionSpec, PowerSimConfig,
                     PowerSimResult, bin_edges, chi_square_critical,
                     matched_normal_null, normal_critical, normal_quantile,

@@ -4,9 +4,9 @@ Each algebra is given by its basis multiplication table: e_i * e_j is a
 signed basis element.  Tables come either from the classical doubling
 construction (complex numbers, quaternions, octonions, sedenions, ...)
 or from a signed Latin square, whose entries are read directly as the
-signed products.  Zero divisors of the form (e_i +/- e_j), which for
-dimension up to 16 are the only kind, are found by exact expansion of
-the bilinear product.
+signed products.  Zero divisors of the form (e_i +/- e_j)(e_k +/- e_l),
+which for dimension up to 16 are the only kind, are read off the exact
+sign product of each AB-BA quad of the table.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 
 from .coloring import SignedLatinSquare
 from .errors import ValidationError
+from .latin import quad_sign_products
 
 __all__ = ["AlgebraTable", "ZeroDivisorPair", "cayley_dickson_table",
            "table_from_signed_square", "find_zero_divisors", "radon"]
@@ -145,38 +146,25 @@ def table_from_signed_square(H: SignedLatinSquare) -> AlgebraTable:
 def find_zero_divisors(table: AlgebraTable):
     """Yield all zero divisors of the form (e_i +/- e_j)(e_k +/- e_l).
 
-    Indices run over 2 <= i < j and 2 <= k < l; every emitted pair is
-    verified by exact expansion of the four signed basis products.  The
-    scan skips (k, l) whose unsigned products cannot collide with those
-    of (i, j): in a Latin table the four terms can only cancel crosswise
-    (same row or same column forces distinct products), so nothing is
-    missed.  For dimension <= 16 this sum-of-two form is the only shape
+    Indices run over 2 <= i < j and 2 <= k < l.  In a Latin table the
+    four terms of the product can only cancel crosswise, so (i, j) and
+    (k, l) must span an AB-BA quad; the product then vanishes exactly
+    when the quad's sign product is +1, with s1 = +1 or -1 and
+    s2 = -s1 * G[j,k] * G[i,l].  Order: by (i, j, k), then s1 = +1
+    first.  For dimension <= 16 this sum-of-two form is the only shape
     a zero divisor can take; at dimension 32 the scan still only covers
     this form.
     """
-    n = table.dim
     G = table.signs
-    X = table.indices
-    # row_position[r][v] = 0-based column where value v appears in row r
-    row_position = [
-        {int(X[r, c]): c for c in range(n)} for r in range(n)
-    ]
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            for k in range(1, n):
-                l = row_position[j][int(X[i, k])]
-                if l <= k or l == 0 or X[i, l] != X[j, k]:
-                    continue
-                for s1 in (1, -1):
-                    for s2 in (1, -1):
-                        acc = np.zeros(n, dtype=np.int64)
-                        acc[X[i, k] - 1] += G[i, k]
-                        acc[X[i, l] - 1] += s2 * G[i, l]
-                        acc[X[j, k] - 1] += s1 * G[j, k]
-                        acc[X[j, l] - 1] += s1 * s2 * G[j, l]
-                        if not acc.any():
-                            yield ZeroDivisorPair(i=i + 1, j=j + 1, s1=s1,
-                                                  k=k + 1, l=l + 1, s2=s2)
+    partner, closes, product = quad_sign_products(table.indices, G)
+    i, j, k = np.nonzero(closes & (product == 1))
+    l = partner[i, j, k]
+    keep = (i >= 1) & (j > i) & (k >= 1) & (l > k)
+    i, j, k, l = i[keep], j[keep], k[keep], l[keep]
+    cross = G[j, k] * G[i, l]
+    for a, b, c, d, sign in zip(*(v.tolist() for v in (i + 1, j + 1, k + 1, l + 1, cross))):
+        for s1 in (1, -1):
+            yield ZeroDivisorPair(i=a, j=b, s1=s1, k=c, l=d, s2=-s1 * sign)
 
 
 def radon(n: int) -> int:

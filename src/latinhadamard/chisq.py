@@ -26,7 +26,7 @@ __all__ = [
     "ProbabilityVector", "CellCounts", "Eigenbasis", "Decomposition",
     "pearson_x2", "scaled_residuals", "sigma", "sigma_star",
     "eigenbasis_from_latin_hadamard", "eigenbasis_from_sign_matrix",
-    "decompose", "component_formulas_t2_t6_t8", "jacobi_eigenvalues",
+    "decompose", "component_formulas_t2_t6_t8",
     "eigen_interlacing_check", "sylvester_hadamard",
     "canonical_signed_square_8", "alternate_signed_square_8",
 ]
@@ -298,47 +298,10 @@ def component_formulas_t2_t6_t8(m: CellCounts, p: ProbabilityVector):
     return t2, t6, t8
 
 
-def jacobi_eigenvalues(matrix, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps rotate every off-diagonal pair in turn until the off-diagonal
-    Frobenius norm drops below tol.  Ascending order.
-    """
-    A = np.array(matrix, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n) or np.abs(A - A.T).max() > 1e-12:
-        raise ValidationError("matrix must be symmetric")
-    for _ in range(max_sweeps):
-        off = math.sqrt(2.0 * np.square(np.triu(A, 1)).sum())
-        if off < tol:
-            break
-        for r in range(n - 1):
-            for c in range(r + 1, n):
-                arc = A[r, c]
-                if arc == 0.0:
-                    continue
-                theta = (A[c, c] - A[r, r]) / (2.0 * arc)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                cos = 1.0 / math.hypot(t, 1.0)
-                sin = t * cos
-                row_r = A[r].copy()
-                row_c = A[c].copy()
-                A[r] = cos * row_r - sin * row_c
-                A[c] = sin * row_r + cos * row_c
-                col_r = A[:, r].copy()
-                col_c = A[:, c].copy()
-                A[:, r] = cos * col_r - sin * col_c
-                A[:, c] = sin * col_r + cos * col_c
-                A[r, c] = A[c, r] = 0.0
-    else:
-        raise InternalConsistencyError("Jacobi iteration failed to converge")
-    return np.sort(np.diag(A))
-
-
 def eigen_interlacing_check(p: ProbabilityVector, tol: float = 1e-9) -> bool:
     """Nonzero eigenvalues of the covariance interlace the sorted cell
     probabilities: p_(1) <= lambda_1 <= p_(2) <= ... <= lambda_(k-1) <= p_(k)."""
-    eigenvalues = jacobi_eigenvalues(sigma(p))
+    eigenvalues = np.linalg.eigvalsh(sigma(p))
     nonzero = eigenvalues[1:]
     sorted_p = np.sort(p.p)
     lower = sorted_p[:-1] - tol

@@ -9,23 +9,22 @@ six-entry cycles, the AB-BA corner relation, and antisymmetry.
 
 Orthogonality of *all* column pairs is then a property to be checked,
 not a given: it holds for every coloring at n = 4 and n = 8 and for
-none at n = 16.  The check is symbolic over exact integers so the
-negative result at n = 16 is bit-exact.
+none at n = 16.  The check reads one sign product per AB-BA quad
+(latin.quad_sign_products) over exact integers, so the negative result
+at n = 16 is bit-exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InternalConsistencyError, SizeError, ValidationError
-from .latin import LatinSquare
+from .latin import LatinSquare, quad_sign_products
 
 __all__ = [
-    "SignedLatinSquare", "SymbolicGram", "num_free_choices",
+    "SignedLatinSquare", "num_free_choices",
     "choices_from_bitstring", "choices_to_bitstring", "color",
-    "enumerate_colorings", "symbolic_gram", "is_latin_hadamard",
+    "enumerate_colorings", "is_latin_hadamard",
     "partial_orthogonality_report", "sign_pattern_is_hadamard",
 ]
 
@@ -79,8 +78,20 @@ class SignedLatinSquare:
 
     @classmethod
     def from_signed_entries(cls, entries) -> "SignedLatinSquare":
-        """Rebuild from a matrix of signed symbols."""
-        arr = np.asarray(entries, dtype=np.int64)
+        """Rebuild from a matrix of signed symbols.
+
+        The entries must form a square array of integers (integral floats
+        such as 3.0 are accepted) whose magnitudes make a Latin square.
+        """
+        try:
+            raw = np.asarray(entries)
+        except ValueError:
+            raise ValidationError("signed matrix must be a rectangular array of numbers") from None
+        if raw.dtype.kind not in "iuf":
+            raise ValidationError("signed matrix must be a rectangular array of numbers")
+        if raw.dtype.kind == "f" and not (np.isfinite(raw) & (raw == np.rint(raw))).all():
+            raise ValidationError("signed matrix entries must be integers")
+        arr = raw.astype(np.int64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError("signed matrix must be square")
         n = arr.shape[0]
@@ -100,27 +111,6 @@ class SignedLatinSquare:
 
     def __repr__(self) -> str:
         return f"SignedLatinSquare(w={self.w}, choices={self.choices})"
-
-
-@dataclass(frozen=True)
-class SymbolicGram:
-    """Exact monomial coefficients of all pairwise column dot products.
-
-    coefficients maps ((j, j'), (a, b)) -> integer coefficient of the
-    monomial x_a * x_b in the dot product of columns j <= j' (1-based).
-    Only nonzero coefficients are stored.
-    """
-
-    n: int
-    coefficients: dict
-
-    def coefficient(self, column_pair, value_pair) -> int:
-        j, jp = sorted(column_pair)
-        a, b = sorted(value_pair)
-        return self.coefficients.get(((j, jp), (a, b)), 0)
-
-    def off_diagonal_zero(self) -> bool:
-        return all(j == jp for ((j, jp), _pair) in self.coefficients)
 
 
 def num_free_choices(w: int) -> int:
@@ -241,62 +231,30 @@ def enumerate_colorings(square: LatinSquare):
         yield color(square, choices_from_bitstring(bits))
 
 
-def _pair_coefficients(values_a, values_b, sign_products, n) -> np.ndarray:
-    """Exact integer coefficients of x_a*x_b monomials for one dot product."""
-    acc = np.zeros((n + 1, n + 1), dtype=np.int64)
-    lo = np.minimum(values_a, values_b)
-    hi = np.maximum(values_a, values_b)
-    np.add.at(acc, (lo, hi), sign_products)
-    return acc
-
-
-def symbolic_gram(H: SignedLatinSquare, rows: bool = False) -> SymbolicGram:
-    """Full symbolic Gram over the columns (or rows) of H.
-
-    Every dot product is expanded into monomials x_a*x_b with integer
-    coefficients; no floating point is involved, so a zero here is a
-    proof of orthogonality for every substitution of the symbols.
-    """
-    S, G = H.square.entries, H.signs
-    if rows:
-        S, G = S.T, G.T
-    n = H.n
-    coefficients = {}
-    for j in range(n):
-        for jp in range(j, n):
-            acc = _pair_coefficients(S[:, j], S[:, jp], G[:, j] * G[:, jp], n)
-            for a, b in zip(*np.nonzero(acc)):
-                coefficients[((j + 1, jp + 1), (int(a), int(b)))] = int(acc[a, b])
-    return SymbolicGram(n=n, coefficients=coefficients)
-
-
-def _all_pairs_orthogonal(S: np.ndarray, G: np.ndarray, n: int) -> bool:
-    for j in range(n):
-        for jp in range(j + 1, n):
-            acc = _pair_coefficients(S[:, j], S[:, jp], G[:, j] * G[:, jp], n)
-            if acc.any():
-                return False
-    return True
+def _non_orthogonal_pairs(S: np.ndarray, G: np.ndarray):
+    """(k, l) column indices of every AB-BA quad that fails to close with
+    product -1; exactly these column pairs have a nonzero dot product."""
+    partner, closes, product = quad_sign_products(S, G)
+    i, j, k = np.nonzero(~closes | (product != -1))
+    off = i != j
+    return k[off], partner[i[off], j[off], k[off]]
 
 
 def is_latin_hadamard(H: SignedLatinSquare) -> bool:
     """True iff all columns and all rows are symbolically orthogonal."""
     S, G = H.square.entries, H.signs
-    return (_all_pairs_orthogonal(S, G, H.n)
-            and _all_pairs_orthogonal(S.T, G.T, H.n))
+    return not (_non_orthogonal_pairs(S, G)[0].size
+                or _non_orthogonal_pairs(S.T, G.T)[0].size)
 
 
 def partial_orthogonality_report(H: SignedLatinSquare) -> set:
     """Unordered 1-based column pairs whose symbolic dot product vanishes."""
-    S, G = H.square.entries, H.signs
     n = H.n
-    orthogonal = set()
-    for j in range(n):
-        for jp in range(j + 1, n):
-            acc = _pair_coefficients(S[:, j], S[:, jp], G[:, j] * G[:, jp], n)
-            if not acc.any():
-                orthogonal.add((j + 1, jp + 1))
-    return orthogonal
+    failed = np.zeros((n, n), dtype=bool)
+    k, l = _non_orthogonal_pairs(H.square.entries, H.signs)
+    failed[k, l] = failed[l, k] = True
+    k, l = np.nonzero(np.triu(~failed, 1))
+    return set(zip((k + 1).tolist(), (l + 1).tolist()))
 
 
 def sign_pattern_is_hadamard(H) -> bool:

@@ -18,14 +18,15 @@ import numpy as np
 from .errors import InternalConsistencyError, ValidationError
 
 __all__ = ["LatinSquare", "CornerQuad", "construct_latin_square",
-           "find_abba_partner", "enumerate_abba_quads"]
+           "find_abba_partner", "quad_sign_products", "enumerate_abba_quads"]
 
 
 class LatinSquare:
-    """Immutable n x n integer matrix, n = 2**w, entries in 1..n.
+    """Immutable n x n Latin square, n = 2**w, entries in 1..n.
 
-    Indexing through :meth:`entry` is 1-based to match the usual
-    combinatorial convention; ``entries`` exposes the raw 0-based array.
+    Every row and every column must be a permutation of 1..n.  Indexing
+    through :meth:`entry` is 1-based to match the usual combinatorial
+    convention; ``entries`` exposes the raw 0-based array.
     """
 
     __slots__ = ("w", "n", "entries")
@@ -37,6 +38,11 @@ class LatinSquare:
         if arr.shape != (self.n, self.n):
             raise ValidationError(
                 f"expected a {self.n}x{self.n} matrix for w={w}, got {arr.shape}")
+        symbols = np.arange(1, self.n + 1)
+        if not ((np.sort(arr, axis=0) == symbols[:, None]).all()
+                and (np.sort(arr, axis=1) == symbols[None, :]).all()):
+            raise ValidationError(
+                f"not a Latin square: every row and column must hold 1..{self.n} once")
         arr = arr.copy()
         arr.setflags(write=False)
         self.entries = arr
@@ -112,16 +118,54 @@ def find_abba_partner(square: LatinSquare, i1: int, j1: int, j2: int) -> CornerQ
     return CornerQuad(i1=i1, j1=j1, i2=i2, j2=j2, a=a, b=b)
 
 
+def quad_sign_products(symbols, signs):
+    """Close every AB-BA quad of a Latin square and multiply its signs.
+
+    For each row pair (i, j) and column k (0-based) the partner column
+    l is where row j holds symbols[i, k].  The quad closes when
+    symbols[i, l] == symbols[j, k], and its sign product is
+    signs[i, k] * signs[i, l] * signs[j, k] * signs[j, l].  Returns the
+    three n x n x n arrays (partner, closes, product), indexed [i, j, k];
+    the diagonal i == j is the degenerate quad l == k with product +1.
+
+    Columns k and l are symbolically orthogonal exactly when every
+    quad through them closes with product -1; a closed quad with
+    product +1 and no index on the unit is a zero divisor
+    (e_i +/- e_j)(e_k +/- e_l) of the table read from (symbols, signs).
+    Exact integer arithmetic.
+    """
+    S = np.asarray(symbols, dtype=np.int64)
+    G = np.asarray(signs, dtype=np.int64)
+    n = S.shape[0]
+    rows = np.arange(n)
+    position = np.empty((n, n + 1), dtype=np.int64)
+    position[rows[:, None], S] = rows[None, :]
+    i = rows[:, None, None]
+    j = rows[None, :, None]
+    partner = position[j, S[:, None, :]]
+    closes = S[i, partner] == S[j, rows]
+    product = G[i, rows] * G[i, partner] * G[j, rows] * G[j, partner]
+    return partner, closes, product
+
+
 def enumerate_abba_quads(square: LatinSquare):
-    """Yield every unordered AB-BA quad exactly once.
+    """Yield every unordered AB-BA quad exactly once, in (j1, j2, i1) order.
 
     For each unordered column pair the rows split into n/2 disjoint
-    quads, so the total count is C(n,2) * n/2.
+    quads, so the total count is C(n,2) * n/2.  A corner that fails to
+    close raises InternalConsistencyError.
     """
-    n = square.n
-    for j1 in range(1, n + 1):
-        for j2 in range(j1 + 1, n + 1):
-            for i1 in range(1, n + 1):
-                quad = find_abba_partner(square, i1, j1, j2)
-                if quad.i2 > i1:
-                    yield quad
+    S = square.entries
+    # On the transpose, row pair (j2, j1) and column i1 give the partner
+    # row i2 holding S[i1, j2] in column j1.
+    partner, closes, _ = quad_sign_products(S.T, np.ones_like(S))
+    j1s, j2s = np.triu_indices(square.n, 1)
+    if not closes[j2s, j1s].all():
+        raise InternalConsistencyError(
+            "AB-BA partner missing; the square does not have the corner property")
+    for j1, j2, partner_rows in zip(j1s.tolist(), j2s.tolist(),
+                                    partner[j2s, j1s].tolist()):
+        for i1, i2 in enumerate(partner_rows):
+            if i2 > i1:
+                yield CornerQuad(i1=i1 + 1, j1=j1 + 1, i2=i2 + 1, j2=j2 + 1,
+                                 a=int(S[i1, j1]), b=int(S[i1, j2]))

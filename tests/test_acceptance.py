@@ -24,6 +24,7 @@ from latinhadamard import (CellCounts, DistributionSpec, ProbabilityVector,
                            table_from_signed_square, verify_design)
 from latinhadamard.cli import run as cli_run
 
+from gram_oracle import gram_is_latin_hadamard
 from reference_tables import (LATIN_SQUARE_16, QUATERNION_TABLE,
                               SIGNED_SQUARE_8, VALID_SIGNED_SQUARES_4,
                               VALID_SIGNED_SQUARES_8)
@@ -88,20 +89,27 @@ def test_criterion_3_figure_fidelity():
 
 
 def test_criterion_4_zero_divisor_equivalence():
+    # The zero-divisor scan and is_latin_hadamard share the AB-BA quad
+    # kernel, so the symbolic Gram oracle is the independent side.
     checked = 0
-    equivalent = True
+    equivalent = oracle_agrees = True
     for w in (2, 3, 4):
         square = construct_latin_square(w)
         for H in enumerate_colorings(square):
             has_divisor = next(
                 find_zero_divisors(table_from_signed_square(H)), None) is not None
-            if has_divisor == is_latin_hadamard(H):
+            valid = is_latin_hadamard(H)
+            if has_divisor == valid:
                 equivalent = False
+            if valid != gram_is_latin_hadamard(H):
+                oracle_agrees = False
             checked += 1
     octonions_clean = next(find_zero_divisors(cayley_dickson_table(3)), None) is None
     sedenions_dirty = next(find_zero_divisors(cayley_dickson_table(4)), None) is not None
-    ok = equivalent and checked == 2066 and octonions_clean and sedenions_dirty
+    ok = (equivalent and oracle_agrees and checked == 2066
+          and octonions_clean and sedenions_dirty)
     report(4, ok, f"equivalence over {checked} candidates {equivalent}, "
+                  f"symbolic Gram oracle agrees {oracle_agrees}, "
                   f"octonions clean {octonions_clean}, sedenions have divisors {sedenions_dirty}")
 
 

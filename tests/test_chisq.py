@@ -10,8 +10,8 @@ from latinhadamard import (CellCounts, Eigenbasis, ProbabilityVector,
                            construct_latin_square, decompose,
                            eigen_interlacing_check,
                            eigenbasis_from_latin_hadamard,
-                           eigenbasis_from_sign_matrix, jacobi_eigenvalues,
-                           pearson_x2, scaled_residuals, sigma, sigma_star,
+                           eigenbasis_from_sign_matrix, pearson_x2,
+                           scaled_residuals, sigma, sigma_star,
                            sylvester_hadamard)
 
 from reference_tables import VALID_SIGNED_SQUARES_8
@@ -230,29 +230,15 @@ class TestComponentFormulas:
 
 
 class TestEigenvalues:
-    def test_jacobi_matches_library_solver(self):
-        rng = np.random.default_rng(31)
-        for k in (2, 4, 8, 16):
-            for _ in range(10):
-                base = rng.normal(size=(k, k))
-                symmetric = (base + base.T) / 2
-                ours = jacobi_eigenvalues(symmetric)
-                theirs = np.sort(np.linalg.eigvalsh(symmetric))
-                assert np.abs(ours - theirs).max() < 1e-10
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValidationError):
-            jacobi_eigenvalues([[1.0, 2.0], [0.0, 1.0]])
-
     def test_equiprobable_spectrum(self):
         k = 8
-        eig = jacobi_eigenvalues(sigma(ProbabilityVector.equiprobable(k)))
+        eig = np.linalg.eigvalsh(sigma(ProbabilityVector.equiprobable(k)))
         assert abs(eig[0]) < 1e-12
         assert np.abs(eig[1:] - 1 / k).max() < 1e-12
 
     def test_two_cell_interlacing_by_hand(self):
         p = ProbabilityVector([0.3, 0.7])
-        eig = jacobi_eigenvalues(sigma(p))
+        eig = np.linalg.eigvalsh(sigma(p))
         assert eig[-1] == pytest.approx(0.42, abs=1e-12)
         assert eigen_interlacing_check(p)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from latinhadamard import canonical_signed_square_8
 from latinhadamard.cli import run
 
 
@@ -189,6 +191,66 @@ def test_matrix_file_errors(capsys, tmp_path):
                           "--matrix", str(bad))
     assert code == 1
     assert "valid JSON" in err
+
+
+def _malformed_matrix_rejected(capsys, tmp_path, entries):
+    """Both matrix-file readers must answer exit 1 with one stderr line."""
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(entries))
+    for argv in (["decompose", "--p", "a", "--counts", "25,25,25,25,25,25,25,25",
+                  "--matrix", str(path)],
+                 ["algebra", "--from-coloring", str(path), "--report", "zero-divisors"]):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("latinhadamard: error:") and err.count("\n") == 1
+
+
+def _canonical_entries():
+    return canonical_signed_square_8().signed_entries().tolist()
+
+
+def test_ragged_or_non_numeric_matrix_file_rejected(capsys, tmp_path):
+    ragged = _canonical_entries()
+    ragged[3].pop()
+    _malformed_matrix_rejected(capsys, tmp_path, ragged)
+    text = _canonical_entries()
+    text[2][5] = "x"
+    _malformed_matrix_rejected(capsys, tmp_path, text)
+
+
+def test_non_integer_matrix_file_rejected(capsys, tmp_path):
+    entries = _canonical_entries()
+    entries[4][2] += 0.7 if entries[4][2] > 0 else -0.7
+    _malformed_matrix_rejected(capsys, tmp_path, entries)
+
+
+def test_non_latin_matrix_file_rejected(capsys, tmp_path):
+    entries = _canonical_entries()
+    entries[5][6] = 9 if entries[5][6] > 0 else -9
+    _malformed_matrix_rejected(capsys, tmp_path, entries)
+    entries = _canonical_entries()
+    entries[5][6] = entries[5][7]
+    _malformed_matrix_rejected(capsys, tmp_path, entries)
+
+
+# SHA-256 of the JSON output recorded before the zero-divisor scan and the
+# orthogonality check moved onto the AB-BA quad kernel; pins the order.
+PINNED_OUTPUTS = {
+    "algebra-dim16": ("algebra --dim 16 --report zero-divisors --format json",
+                      "1653c12325794eaf3e2f7bc4ebe32a0b8d3462bfe5e23d92f340ceeddf252e20"),
+    "algebra-dim32": ("algebra --dim 32 --report zero-divisors --format json",
+                      "3e964ebf6b0ae62cd2afe8886b37b89bd37d7354e6f26ca944ec431ff1fe0816"),
+    "enumerate-w3": ("enumerate --w 3 --format json",
+                     "a16090c692847cd2fac51c616d8efdd6ddcad1f0acd5adf52e211102cab679cc"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_output_bytes_pinned(capsys, name):
+    argv, digest = PINNED_OUTPUTS[name]
+    code, out, _ = invoke(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_installed_entry_point_runs():

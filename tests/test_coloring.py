@@ -8,9 +8,11 @@ from latinhadamard import (SignedLatinSquare, ValidationError,
                            construct_latin_square, enumerate_colorings,
                            is_latin_hadamard, num_free_choices,
                            partial_orthogonality_report,
-                           sign_pattern_is_hadamard, symbolic_gram)
+                           sign_pattern_is_hadamard)
 from latinhadamard.errors import SizeError
+from latinhadamard.latin import LatinSquare
 
+from gram_oracle import gram_is_latin_hadamard, symbolic_gram
 from reference_tables import (SIGNED_SQUARE_8, VALID_SIGNED_SQUARES_4,
                               VALID_SIGNED_SQUARES_8)
 
@@ -144,6 +146,40 @@ def test_partial_orthogonality_reference_cases():
                      | set(combinations(range(9, 17), 2)))
     assert within_halves <= report
     assert len(report) < 120  # but not all pairs
+
+
+def test_partial_orthogonality_matches_gram_oracle():
+    square = construct_latin_square(4)
+    for choices in ((1,) * 11, (-1,) * 11, (1, -1) * 5 + (1,)):
+        H = color(square, choices)
+        nonzero = {pair for pair, _ in symbolic_gram(H).coefficients}
+        assert partial_orthogonality_report(H) == (
+            set(combinations(range(1, 17), 2)) - nonzero)
+
+
+def test_latin_square_without_corner_property_is_not_hadamard():
+    cyclic = LatinSquare(2, [[1, 2, 3, 4], [2, 3, 4, 1],
+                             [3, 4, 1, 2], [4, 1, 2, 3]])
+    # every quad through columns 1 and 2 has sign product -1, but no
+    # corner closes, so the pair is still not orthogonal
+    signs = np.array([[1, 1, 1, 1], [1, -1, 1, 1],
+                      [1, 1, -1, 1], [1, -1, 1, -1]])
+    H = SignedLatinSquare(cyclic, signs)
+    assert is_latin_hadamard(H) is False
+    assert not gram_is_latin_hadamard(H)
+    assert symbolic_gram(H).coefficient((1, 2), (1, 2)) != 0
+    assert partial_orthogonality_report(H) == set()
+
+
+def test_from_signed_entries_rejects_malformed_matrices():
+    good = [[1, 2], [2, -1]]
+    assert SignedLatinSquare.from_signed_entries([[1.0, 2.0], [2.0, -1.0]]) == \
+        SignedLatinSquare.from_signed_entries(good)
+    for bad in ([[1, 2], [2]], [[1, "2"], [2, -1]], [[1, 2], [2, None]],
+                [[1, 2.5], [2, -1]], [[1, 2], [2, float("nan")]],
+                [[1, 2], [1, -2]], [[1, 3], [3, -1]]):
+        with pytest.raises(ValidationError):
+            SignedLatinSquare.from_signed_entries(bad)
 
 
 def test_signed_square_invariant_validation():

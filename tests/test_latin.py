@@ -3,7 +3,7 @@ import pytest
 
 from latinhadamard import (InternalConsistencyError, ValidationError,
                            construct_latin_square, enumerate_abba_quads,
-                           find_abba_partner)
+                           find_abba_partner, quad_sign_products)
 from latinhadamard.latin import LatinSquare
 
 from reference_tables import LATIN_SQUARE_16
@@ -105,6 +105,34 @@ def test_partner_detects_broken_square():
                              [3, 4, 1, 2], [4, 1, 2, 3]])
     with pytest.raises(InternalConsistencyError):
         find_abba_partner(cyclic, 1, 1, 2)
+    with pytest.raises(InternalConsistencyError):
+        next(enumerate_abba_quads(cyclic))
+
+
+def test_latin_square_rejects_repeated_symbols():
+    with pytest.raises(ValidationError):
+        LatinSquare(1, [[1, 2], [1, 2]])
+    with pytest.raises(ValidationError):
+        LatinSquare(1, [[1, 3], [3, 1]])
+
+
+@pytest.mark.parametrize("w", (1, 2, 3))
+def test_quad_kernel_matches_direct_evaluation(w):
+    S = construct_latin_square(w).entries
+    n = S.shape[0]
+    G = np.random.default_rng(w).choice((-1, 1), size=(n, n))
+    partner, closes, product = quad_sign_products(S, G)
+    closed = set()
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                l = int(partner[i, j, k])
+                assert S[j, l] == S[i, k]
+                assert closes[i, j, k] == (S[i, l] == S[j, k])
+                assert product[i, j, k] == G[i, k] * G[i, l] * G[j, k] * G[j, l]
+                if i < j and k < l and closes[i, j, k]:
+                    closed.add((i + 1, j + 1, k + 1, l + 1))
+    assert closed == set(brute_force_quads(S))
 
 
 def test_quad_enumeration_single_at_w1():
