@@ -17,7 +17,7 @@ import numpy as np
 
 from .coloring import SignedLatinSquare
 from .errors import ValidationError
-from .latin import quad_sign_products
+from .latin import LatinSquare, quad_sign_products
 
 __all__ = ["AlgebraTable", "ZeroDivisorPair", "cayley_dickson_table",
            "table_from_signed_square", "find_zero_divisors", "radon"]
@@ -27,24 +27,21 @@ class AlgebraTable:
     """Basis multiplication table: e_i * e_j = signs[i,j] * e_{indices[i,j]}.
 
     1-based basis labels; e_1 is the unit and every other basis element
-    squares to -e_1.  The unsigned table is a Latin square.
+    squares to -e_1.  The unsigned table is a LatinSquare, which has
+    already checked the Latin property; indices is its entries array.
     """
 
     __slots__ = ("dim", "signs", "indices")
 
-    def __init__(self, signs: np.ndarray, indices: np.ndarray):
+    def __init__(self, signs: np.ndarray, square: LatinSquare):
         signs = np.asarray(signs, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
-        dim = signs.shape[0]
-        if signs.shape != (dim, dim) or indices.shape != (dim, dim):
-            raise ValidationError("sign and index tables must be square and congruent")
+        indices = square.entries
+        dim = square.n
+        if signs.shape != (dim, dim):
+            raise ValidationError(f"sign table must be {dim}x{dim}, got {signs.shape}")
         if not np.isin(signs, (-1, 1)).all():
             raise ValidationError("table signs must be +1 or -1")
         symbols = np.arange(1, dim + 1)
-        for axis in (0, 1):
-            if not (np.sort(indices, axis=axis) == (symbols[:, None] if axis == 0
-                                                    else symbols[None, :])).all():
-                raise ValidationError("unsigned table must be a Latin square")
         if not ((indices[0] == symbols).all() and (signs[0] == 1).all()
                 and (indices[:, 0] == symbols).all() and (signs[:, 0] == 1).all()):
             raise ValidationError("e_1 must act as a two-sided unit")
@@ -52,9 +49,7 @@ class AlgebraTable:
                             and (np.diag(signs)[1:] == -1).all()):
             raise ValidationError("non-unit basis elements must square to -e_1")
         signs = signs.copy()
-        indices = indices.copy()
         signs.setflags(write=False)
-        indices.setflags(write=False)
         self.dim = dim
         self.signs = signs
         self.indices = indices
@@ -133,14 +128,12 @@ def cayley_dickson_table(m: int) -> AlgebraTable:
             [indices, indices.T + h],
             [indices + h, indices.T],
         ])
-    return AlgebraTable(signs, indices)
+    return AlgebraTable(signs, LatinSquare(m, indices))
 
 
 def table_from_signed_square(H: SignedLatinSquare) -> AlgebraTable:
     """Read a signed Latin square as a basis multiplication table."""
-    if not (H.signs[0] == 1).all() or not (H.signs[:, 0] == 1).all():
-        raise ValidationError("first row and column of the coloring must be positive")
-    return AlgebraTable(H.signs, H.square.entries)
+    return AlgebraTable(H.signs, H.square)
 
 
 def find_zero_divisors(table: AlgebraTable):

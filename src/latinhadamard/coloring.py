@@ -1,11 +1,11 @@
 """Sign assignments ("colorings") of the structured Latin square.
 
-A coloring attaches +/-1 to every entry of the square subject to
-propagation rules that force each column to be orthogonal to the first
-column and each row to the first row, when the symbols 1..n are read as
-independent indeterminates.  The free choices live on part of one
-column per doubling level; everything else follows by alternating
-six-entry cycles, the AB-BA corner relation, and antisymmetry.
+A coloring attaches +/-1 to every entry of the square so that each
+column is orthogonal to the first column and each row to the first
+row, when the symbols 1..n are read as independent indeterminates.
+The free choices live on part of one column per doubling level;
+everything else follows, block by block, from the AB-BA corner
+relation and antisymmetry (see :func:`color`).
 
 Orthogonality of *all* column pairs is then a property to be checked,
 not a given: it holds for every coloring at n = 4 and n = 8 and for
@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InternalConsistencyError, SizeError, ValidationError
-from .latin import LatinSquare, quad_sign_products
+from .errors import SizeError, ValidationError
+from .latin import LatinSquare, construct_latin_square, quad_sign_products
 
 __all__ = [
     "SignedLatinSquare", "num_free_choices",
@@ -129,27 +129,22 @@ def choices_to_bitstring(choices) -> str:
     return "".join("0" if c == 1 else "1" for c in choices)
 
 
-def _assign(signs: np.ndarray, i: int, j: int, value: int) -> None:
-    current = signs[i, j]
-    if current == 0:
-        signs[i, j] = value
-    elif current != value:
-        raise InternalConsistencyError(
-            f"sign propagation conflict at entry ({i + 1}, {j + 1})")
-
-
 def color(square: LatinSquare, choices) -> SignedLatinSquare:
-    """Color the square from a vector of free +/-1 choices.
+    """Color the structured square from a vector of free +/-1 choices.
 
-    Choices are consumed level by level (doubling level 2 upward), then
-    by increasing row index within the level.  Each choice colors one
-    entry of the new block column and propagates around its six-entry
-    alternating cycle; the remaining blocks follow from AB-BA corners
-    and antisymmetry.  Any conflicting assignment raises
-    InternalConsistencyError (it would indicate a construction bug, not
-    bad input).
+    The signs are built by block doubling from G = [[1]].  The level
+    that doubles h to 2h consumes the next h - 1 choices as
+    v = (1, choices...), the new block column above the diagonal
+    (v[i] = G[i, h]).  Row h + a of the lower-left block closes each
+    AB-BA quad through column h against its partner row x = S[a, j] - 1,
+    giving L[a, j] = v[a] * v[x] * G[x, j]; the upper-right block is
+    antisymmetric to it (U = -L^T, first row +1) and the lower-right
+    block closes the quads against both (-G * U * L).  Choices are thus
+    consumed level by level (doubling level 2 upward), then by
+    increasing row index within the level.  Exact integer arithmetic;
+    each sign is written once.
     """
-    w, n = square.w, square.n
+    w = square.w
     choices = tuple(int(c) for c in choices)
     expected = num_free_choices(w)
     if len(choices) != expected:
@@ -157,61 +152,24 @@ def color(square: LatinSquare, choices) -> SignedLatinSquare:
             f"need exactly {expected} choices for w={w}, got {len(choices)}")
     if not all(c in (-1, 1) for c in choices):
         raise ValidationError("choices must be +1 or -1")
+    if square != construct_latin_square(w):
+        raise ValidationError("colorings are defined on the structured square only")
 
     S = square.entries
-    signs = np.zeros((n, n), dtype=np.int64)
-    signs[0, :] = 1
-    signs[:, 0] = 1
-    for i in range(1, n):
-        signs[i, i] = -1
-
+    G = np.ones((square.n, square.n), dtype=np.int64)
     pos = 0
-    for level in range(2, w + 1):
-        h = 2 ** (level - 1)
-        # Free choices sit at (row i, column h) for i = 1..h-1 (0-based);
-        # each propagates around its alternating six-entry cycle.
-        for i in range(1, h):
-            c = choices[pos]
-            pos += 1
-            _assign(signs, i, h, c)
-            _assign(signs, i, h + i, -c)
-            _assign(signs, h, h + i, c)
-            _assign(signs, h, i, -c)
-            _assign(signs, h + i, i, c)
-            _assign(signs, h + i, h, -c)
-
-        # Lower-left block: complete each uncolored entry from the AB-BA
-        # quad through column h, whose three other corners are colored.
-        partner_row = {int(S[r, h]): r for r in range(h)}
-        for i in range(h):
-            r = h + i
-            for j in range(1, h):
-                if signs[r, j] != 0:
-                    continue
-                ip = partner_row[int(S[r, j])]
-                if S[ip, j] != S[r, h]:
-                    raise InternalConsistencyError(
-                        "AB-BA value pattern broken in lower-left fill")
-                _assign(signs, r, j, -signs[ip, j] * signs[ip, h] * signs[r, h])
-
-        # Upper-right block: antisymmetric to the lower-left block.
-        for i in range(1, h):
-            for j in range(1, h):
-                _assign(signs, i, h + j, -signs[h + j, i])
-
-        # Lower-right block: AB-BA quads against the two filled blocks.
-        for i in range(1, h):
-            r = h + i
-            for j in range(1, h):
-                cpos = h + j
-                if signs[r, cpos] != 0:
-                    continue
-                _assign(signs, r, cpos,
-                        -signs[i, j] * signs[i, cpos] * signs[r, j])
-
-    if (signs == 0).any():
-        raise InternalConsistencyError("coloring left uncolored entries")
-    return SignedLatinSquare(square, signs, choices=choices)
+    for level in range(w):
+        h = 2 ** level
+        v = np.array((1,) + choices[pos:pos + h - 1], dtype=np.int64)
+        pos += h - 1
+        x = S[:h, :h] - 1
+        L = v[:, None] * v[x] * G[x, np.arange(h)]
+        U = -L.T
+        U[0] = 1
+        G[h:2 * h, :h] = L
+        G[:h, h:2 * h] = U
+        G[h:2 * h, h:2 * h] = -G[:h, :h] * U * L
+    return SignedLatinSquare(square, G, choices=choices)
 
 
 def enumerate_colorings(square: LatinSquare):

@@ -11,6 +11,7 @@ structure is what later makes signed versions orthogonal.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,7 @@ class CornerQuad:
     b: int
 
 
+@functools.lru_cache(maxsize=8)
 def construct_latin_square(w: int) -> LatinSquare:
     """Build the canonical block-recursive Latin square of dimension 2**w.
 

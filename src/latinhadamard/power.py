@@ -17,6 +17,7 @@ across threads.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -72,6 +73,8 @@ class DistributionSpec:
         if len(params) != self._ARITY[family]:
             raise ValidationError(
                 f"{family} takes {self._ARITY[family]} parameter(s), got {len(params)}")
+        if not all(math.isfinite(v) for v in params):
+            raise ValidationError(f"{family} parameters must be finite")
         if family == "normal" and params[1] <= 0:
             raise ValidationError("normal scale must be positive")
         if family == "t" and params[0] < 1:
@@ -337,7 +340,10 @@ def simulate_power(cfg: PowerSimConfig, threads: int | None = None) -> PowerSimR
         totals = _run_block(cfg, scheme, vectors, sqrt_expected, expected,
                             chi_crit, z_crit, ranges[0])
     else:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
+        # The chunking follows the requested thread count, so the result
+        # cannot depend on the pool size, which never exceeds the CPUs.
+        workers = min(len(ranges), os.cpu_count() or 1)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(
                 lambda r: _run_block(cfg, scheme, vectors, sqrt_expected,
                                      expected, chi_crit, z_crit, r), ranges)

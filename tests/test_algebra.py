@@ -8,6 +8,7 @@ from latinhadamard import (SignedLatinSquare, ValidationError,
                            enumerate_colorings, find_zero_divisors,
                            is_latin_hadamard, radon, table_from_signed_square)
 from latinhadamard.algebra import AlgebraTable, ZeroDivisorPair
+from latinhadamard.latin import LatinSquare
 
 from reference_tables import QUATERNION_TABLE, SIGNED_SQUARE_8
 
@@ -183,10 +184,10 @@ def test_radon_rejects_bad_input():
 def test_table_validation():
     with pytest.raises(ValidationError):
         AlgebraTable(np.ones((2, 2), dtype=int),
-                     np.array([[1, 1], [2, 2]]))  # not Latin
+                     LatinSquare(1, [[1, 1], [2, 2]]))  # not Latin
     with pytest.raises(ValidationError):
         AlgebraTable(np.array([[1, 1], [1, 1]]),
-                     np.array([[1, 2], [2, 1]]))  # e_2^2 != -e_1
+                     LatinSquare(1, [[1, 2], [2, 1]]))  # e_2^2 != -e_1
 
     zd = ZeroDivisorPair(i=2, j=3, s1=-1, k=4, l=5, s2=1)
     assert str(zd) == "(e_2 - e_3)(e_4 + e_5) = 0"

@@ -142,6 +142,14 @@ def test_power_csv_schema_and_determinism(capsys, tmp_path):
     assert len(lines) == 9
 
 
+@pytest.mark.parametrize("alt", ["normal:0,nan", "normal:0,inf", "gamma:nan,1"])
+def test_power_rejects_non_finite_parameters(capsys, alt):
+    code, out, err = invoke(capsys, "power", "--alt", alt, "--preset", "a",
+                            "--reps", "50", "--threads", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("latinhadamard: error:") and err.count("\n") == 1
+
+
 def test_power_requires_probabilities(capsys):
     code, _, err = invoke(capsys, "power", "--alt", "t:2")
     assert code == 1

@@ -12,7 +12,8 @@ from latinhadamard import (SignedLatinSquare, ValidationError,
 from latinhadamard.errors import SizeError
 from latinhadamard.latin import LatinSquare
 
-from gram_oracle import gram_is_latin_hadamard, symbolic_gram
+from coloring_oracle import propagate_signs
+from gram_oracle import gram_is_latin_hadamard, pair_coefficients, symbolic_gram
 from reference_tables import (SIGNED_SQUARE_8, VALID_SIGNED_SQUARES_4,
                               VALID_SIGNED_SQUARES_8)
 
@@ -62,8 +63,26 @@ def test_enumeration_count(w, count):
     for H in enumerate_colorings(square):
         total += 1
         seen.add(H.to_tuple())
+        assert np.array_equal(H.signs, propagate_signs(square, H.choices))
     assert total == count
     assert len(seen) == count  # all candidates distinct
+
+
+@pytest.mark.parametrize("w", (5, 6))
+def test_sign_doubling_matches_propagation_oracle(w):
+    square = construct_latin_square(w)
+    rng = np.random.default_rng(20260811 + w)
+    for _ in range(50):
+        choices = tuple(rng.choice((-1, 1), size=num_free_choices(w)).tolist())
+        assert np.array_equal(color(square, choices).signs,
+                              propagate_signs(square, choices))
+
+
+def test_color_rejects_other_latin_squares():
+    cyclic = LatinSquare(2, [[1, 2, 3, 4], [2, 3, 4, 1],
+                             [3, 4, 1, 2], [4, 1, 2, 3]])
+    with pytest.raises(ValidationError):
+        color(cyclic, (1,))
 
 
 def test_enumeration_size_guard():
@@ -88,12 +107,13 @@ def test_every_candidate_orthogonal_to_first_column_and_row():
     # the construction guarantees first-column/first-row orthogonality
     # even where full orthogonality is impossible
     square = construct_latin_square(4)
+    S = square.entries
     for H in enumerate_colorings(square):
         report = partial_orthogonality_report(H)
         assert {(1, j) for j in range(2, 17)} <= report
-        row_gram = symbolic_gram(H, rows=True)
-        assert not any(pair[0] == 1 and pair[1] != 1
-                       for pair, _ in row_gram.coefficients)
+        G = H.signs
+        assert not any(pair_coefficients(S[0], S[j], G[0] * G[j], 16).any()
+                       for j in range(1, 16))
 
 
 def test_gram_diagonal_is_full_symbol_sum():

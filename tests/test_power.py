@@ -9,6 +9,7 @@ from latinhadamard import (DistributionSpec, PowerSimConfig, ValidationError,
                            chi_square_critical, matched_normal_null,
                            normal_critical, normal_quantile,
                            preset_probability, simulate_power)
+from latinhadamard import power
 from latinhadamard.power import _replication_stream
 
 
@@ -30,6 +31,10 @@ class TestDistributionSpec:
             DistributionSpec.parse("weird:1")
         with pytest.raises(ValidationError):
             DistributionSpec.parse("normal:a,b")
+        for text in ("normal:0,nan", "normal:0,inf", "normal:-inf,1",
+                     "t:inf", "gamma:nan,1"):
+            with pytest.raises(ValidationError):
+                DistributionSpec.parse(text)
 
     def test_cauchy_equals_t1_quantiles(self):
         c = DistributionSpec("cauchy")
@@ -176,6 +181,23 @@ class TestSimulation:
         for threads in (2, 3, 8):
             other = simulate_power(cfg, threads=threads)
             assert np.array_equal(baseline.rates, other.rates)
+
+    @pytest.mark.parametrize("cpus,workers", [(3, 3), (None, 1)])
+    def test_pool_never_exceeds_cpu_count(self, monkeypatch, cpus, workers):
+        started = []
+
+        class RecordingPool(power.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=min(max_workers, 3))
+
+        cfg = self.config(reps=64)
+        baseline = simulate_power(cfg, threads=1)
+        monkeypatch.setattr(power, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(power.os, "cpu_count", lambda: cpus)
+        result = simulate_power(cfg, threads=64)
+        assert started == [workers]
+        assert np.array_equal(result.rates, baseline.rates)
 
     def test_seed_changes_results(self):
         a = simulate_power(self.config(seed=1, reps=500))
