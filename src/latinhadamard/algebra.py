@@ -39,7 +39,7 @@ class AlgebraTable:
         dim = square.n
         if signs.shape != (dim, dim):
             raise ValidationError(f"sign table must be {dim}x{dim}, got {signs.shape}")
-        if not np.isin(signs, (-1, 1)).all():
+        if not (np.abs(signs) == 1).all():
             raise ValidationError("table signs must be +1 or -1")
         symbols = np.arange(1, dim + 1)
         if not ((indices[0] == symbols).all() and (signs[0] == 1).all()

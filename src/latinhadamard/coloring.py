@@ -48,7 +48,7 @@ class SignedLatinSquare:
         sgn = np.asarray(signs, dtype=np.int64)
         if sgn.shape != (n, n):
             raise ValidationError(f"sign matrix must be {n}x{n}, got {sgn.shape}")
-        if not np.isin(sgn, (-1, 1)).all():
+        if not (np.abs(sgn) == 1).all():
             raise ValidationError("sign matrix entries must be +1 or -1")
         if not (sgn[0] == 1).all() or not (sgn[:, 0] == 1).all():
             raise ValidationError("first row and first column must be positive")
@@ -222,6 +222,6 @@ def sign_pattern_is_hadamard(H) -> bool:
     """
     G = H.signs if isinstance(H, SignedLatinSquare) else np.asarray(H, dtype=np.int64)
     n = G.shape[0]
-    if G.shape != (n, n) or not np.isin(G, (-1, 1)).all():
+    if G.shape != (n, n) or not (np.abs(G) == 1).all():
         raise ValidationError("expected a square matrix of +1/-1 signs")
     return bool(np.array_equal(G @ G.T, n * np.eye(n, dtype=np.int64)))

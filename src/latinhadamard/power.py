@@ -12,6 +12,10 @@ counter-based stream keyed by (master seed, replication index), and the
 per-statistic rejection counts are reduced by integer summation, so
 results are bit-identical regardless of how replications are chunked
 across threads.
+
+Replications run in blocks of at most ``BLOCK_DRAWS`` draws.  A worker
+resets one Philox to each replication's key, draws the samples into the
+rows of a block, then bins and projects the whole block at once.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 from .chisq import (Eigenbasis, ProbabilityVector, canonical_signed_square_8,
                     eigenbasis_from_latin_hadamard)
 from .coloring import SignedLatinSquare
-from .errors import ValidationError
+from .errors import SizeError, ValidationError
 
 __all__ = [
     "DistributionSpec", "BinningScheme", "PowerSimConfig", "PowerSimResult",
@@ -44,6 +48,11 @@ PRESET_WEIGHTS = {
 # 6-digit critical values at alpha = 0.05 (two-sided normal, upper chi-square).
 NORMAL_CRITICAL_975 = 1.95996
 CHI_SQUARE_CRITICAL_95 = {1: 3.84146, 3: 7.81473, 7: 14.0671, 15: 24.9958}
+
+# Draws held at once by one worker: a block of 2**21 doubles (16 MiB),
+# whatever the replication count.  A sample may not exceed one block.
+BLOCK_DRAWS = 1 << 21
+MAX_REPS = 10 ** 7
 
 
 def preset_probability(name: str) -> ProbabilityVector:
@@ -210,8 +219,18 @@ class BinningScheme:
         return self.p.k
 
     def bin_counts(self, sample: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.edges, sample, side="right")
-        return np.bincount(idx, minlength=self.k)
+        """Cell counts along the last axis: shape (..., n) gives (..., k).
+
+        A draw lands in the cell that ``searchsorted(edges, x,
+        side="right")`` names, NaN in the last one: the count below
+        each edge is differenced against 0 and n.
+        """
+        sample = np.asarray(sample)
+        rows, n = sample.shape[:-1], sample.shape[-1]
+        below = [np.count_nonzero(sample < edge, axis=-1) for edge in self.edges]
+        bounds = np.stack([np.zeros(rows, dtype=np.intp), *below,
+                           np.full(rows, n, dtype=np.intp)], axis=-1)
+        return np.diff(bounds, axis=-1)
 
 
 def bin_edges(null: DistributionSpec, p: ProbabilityVector) -> BinningScheme:
@@ -255,6 +274,10 @@ class PowerSimConfig:
             raise ValidationError("alpha must be strictly between 0 and 1")
         if self.n < 1:
             raise ValidationError("sample size must be positive")
+        if self.n > BLOCK_DRAWS:
+            raise SizeError(f"sample size is limited to {BLOCK_DRAWS} draws")
+        if self.reps > MAX_REPS:
+            raise SizeError(f"replications are limited to {MAX_REPS}")
 
     def resolve_basis(self) -> Eigenbasis:
         source = self.matrix
@@ -289,27 +312,45 @@ class PowerSimResult:
                 in zip(self.statistics, self.rates, self.standard_errors)]
 
 
-def _replication_stream(master_seed: int, rep: int) -> np.random.Generator:
-    key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF, rep], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _replication_streams(master_seed: int, reps: range):
+    """Yield, for each replication index, the stream keyed (master seed, rep).
+
+    One Philox serves the whole range.  Its state is reset to key
+    (master seed, rep), counter 0 and an empty buffer, which gives
+    exactly the draws of a fresh ``Philox(key=(master seed, rep))`` for
+    a small part of the cost of building one.
+    """
+    key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
+    rng = np.random.Generator(bitgen)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    for rep in reps:
+        key[1] = rep
+        bitgen.state = state
+        yield rng
 
 
 def _run_block(cfg: PowerSimConfig, scheme: BinningScheme,
                vectors: np.ndarray, sqrt_expected: np.ndarray,
                expected: np.ndarray, chi_crit: float, z_crit: float,
                rep_range: range) -> np.ndarray:
-    k = scheme.k
-    rejections = np.zeros(k, dtype=np.int64)  # slot 0: X2, slots 1..k-1: T_2..T_k
-    for rep in rep_range:
-        rng = _replication_stream(cfg.master_seed, rep)
-        sample = cfg.alternative.sample(rng, cfg.n)
-        counts = scheme.bin_counts(sample)
-        y = (counts - expected) / sqrt_expected
-        x2 = float(y @ y)
-        components = vectors.T @ y
-        if x2 > chi_crit:
-            rejections[0] += 1
-        rejections[1:] += np.abs(components) > z_crit
+    rows = max(1, min(BLOCK_DRAWS // cfg.n, len(rep_range)))
+    block = np.empty((rows, cfg.n))
+    streams = _replication_streams(cfg.master_seed, rep_range)
+    rejections = np.zeros(scheme.k, dtype=np.int64)  # slot 0: X2, slots 1..k-1: T_2..T_k
+    for start in range(0, len(rep_range), rows):
+        samples = block[:len(rep_range[start:start + rows])]
+        # zip takes a row before a stream, so no stream is skipped
+        for row, rng in zip(samples, streams):
+            row[:] = cfg.alternative.sample(rng, cfg.n)
+        y = (scheme.bin_counts(samples) - expected) / sqrt_expected
+        x2 = np.einsum("ij,ij->i", y, y)
+        components = y @ vectors
+        rejections[0] += np.count_nonzero(x2 > chi_crit)
+        rejections[1:] += np.count_nonzero(np.abs(components) > z_crit, axis=0)
     return rejections
 
 

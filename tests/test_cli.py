@@ -1,13 +1,17 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from latinhadamard import canonical_signed_square_8
+import latinhadamard
+from latinhadamard import canonical_signed_square_8, cli
 from latinhadamard.cli import run
+from latinhadamard.power import BLOCK_DRAWS, MAX_REPS
 
 
 def invoke(capsys, *argv):
@@ -150,6 +154,20 @@ def test_power_rejects_non_finite_parameters(capsys, alt):
     assert err.startswith("latinhadamard: error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag,value", [("--n", 10 ** 12), ("--n", BLOCK_DRAWS + 1),
+                                        ("--reps", MAX_REPS + 1)])
+def test_power_size_guard(capsys, monkeypatch, flag, value):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the size guard must fire before the simulation")
+
+    monkeypatch.setattr(cli, "simulate_power", unreachable)
+    code, out, err = invoke(capsys, "power", "--alt", "normal:0,1.3", "--preset", "a",
+                            flag, str(value), "--threads", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("latinhadamard: error:") and err.count("\n") == 1
+    assert "limited" in err
+
+
 def test_power_requires_probabilities(capsys):
     code, _, err = invoke(capsys, "power", "--alt", "t:2")
     assert code == 1
@@ -262,8 +280,12 @@ def test_output_bytes_pinned(capsys, name):
 
 
 def test_installed_entry_point_runs():
+    # The child imports the package under test, installed or not.
+    src = str(Path(latinhadamard.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "latinhadamard.cli",
                            "construct", "--w", "1", "--format", "json"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["entries"] == [[1, 2], [2, 1]]

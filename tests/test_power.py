@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from latinhadamard import (DistributionSpec, PowerSimConfig, ValidationError,
+from latinhadamard import (DistributionSpec, PowerSimConfig, ProbabilityVector,
+                           SizeError, ValidationError,
                            alternate_signed_square_8, bin_edges,
-                           chi_square_critical, matched_normal_null,
-                           normal_critical, normal_quantile,
-                           preset_probability, simulate_power)
+                           chi_square_critical, color, construct_latin_square,
+                           matched_normal_null, normal_critical,
+                           normal_quantile, preset_probability,
+                           simulate_power)
 from latinhadamard import power
-from latinhadamard.power import _replication_stream
+
+import power_oracle
+from power_oracle import _replication_stream
 
 
 class TestDistributionSpec:
@@ -94,6 +98,20 @@ class TestBinning:
         freq = counts / draws
         tol = 4 * np.sqrt(p.p * (1 - p.p) / draws)
         assert (np.abs(freq - p.p) < tol).all()
+
+    def test_block_counts_equal_searchsorted(self):
+        scheme = bin_edges(DistributionSpec("normal", (0, 1)), preset_probability("c"))
+        rng = np.random.default_rng(8)
+        block = rng.standard_t(1.0, size=(3, 5, 40))
+        specials = [np.inf, -np.inf, np.nan, *scheme.edges, *np.nextafter(
+            scheme.edges, np.inf), *np.nextafter(scheme.edges, -np.inf)]
+        block[0, 0, :len(specials)] = specials
+        counts = scheme.bin_counts(block)
+        assert counts.shape == (3, 5, 8)
+        for index in np.ndindex(3, 5):
+            idx = np.searchsorted(scheme.edges, block[index], side="right")
+            assert np.array_equal(counts[index], np.bincount(idx, minlength=8))
+        assert np.array_equal(scheme.bin_counts(block[1, 2]), counts[1, 2])
 
     def test_presets(self):
         assert np.allclose(preset_probability("a").p, 1 / 8)
@@ -204,6 +222,19 @@ class TestSimulation:
         b = simulate_power(self.config(seed=2, reps=500))
         assert not np.array_equal(a.rates, b.rates)
 
+    def test_reset_stream_equals_fresh_philox_after_partial_buffer(self):
+        reps = [5, 2 ** 40, 5, 0]
+        streams = power._replication_streams(2 ** 64 + 9, reps)
+        for rep, rng in zip(reps, streams):
+            expected = _replication_stream(2 ** 64 + 9, rep)
+            assert np.array_equal(rng.gamma(0.5, 2.0, 3), expected.gamma(0.5, 2.0, 3))
+            assert np.array_equal(rng.standard_t(2.0, 5), expected.standard_t(2.0, 5))
+            # Leave half a 64-bit word and a part-used buffer for the next reset.
+            rng.integers(0, 2 ** 32, 1, dtype=np.uint32)
+            while rng.bit_generator.state["buffer_pos"] == 4:
+                rng.random()
+            assert rng.bit_generator.state["has_uint32"] == 1
+
     def test_replication_streams_are_independent_of_order(self):
         x = _replication_stream(7, 3).normal(size=4)
         _ = _replication_stream(7, 99).normal(size=100)
@@ -215,6 +246,14 @@ class TestSimulation:
         result = simulate_power(cfg)
         assert result.reps == 400
 
+    def test_size_guard(self):
+        with pytest.raises(SizeError):
+            self.config(reps=power.MAX_REPS + 1)
+        with pytest.raises(SizeError):
+            PowerSimConfig(null=DistributionSpec("normal", (0, 1)),
+                           alternative=DistributionSpec("normal", (0, 1)),
+                           p=preset_probability("a"), n=power.BLOCK_DRAWS + 1)
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             self.config(reps=0)
@@ -222,3 +261,56 @@ class TestSimulation:
             PowerSimConfig(null=DistributionSpec("normal", (0, 1)),
                            alternative=DistributionSpec("normal", (0, 1)),
                            p=preset_probability("a"), alpha=1.5)
+
+
+_P2 = ProbabilityVector.proportional_to((3, 7))
+_P4 = ProbabilityVector.proportional_to((1, 2, 4, 3))
+_MATRICES = {2: color(construct_latin_square(1), ()),
+             4: color(construct_latin_square(2), (1,))}
+_FAMILIES = ["normal:0.3,1.2", "t:3", "cauchy", "gamma:2,0.5"]
+
+
+def _engine_inputs(cfg):
+    basis = cfg.resolve_basis()
+    scheme = bin_edges(cfg.null, cfg.p)
+    expected = cfg.n * cfg.p.p
+    k = cfg.p.k
+    return (cfg, scheme, basis.component_vectors(), np.sqrt(expected), expected,
+            chi_square_critical(k - 1, cfg.alpha), normal_critical(cfg.alpha))
+
+
+class TestBlockEngineAgainstOracle:
+    """The block engine's rejection counts equal the per-replication oracle's."""
+
+    @pytest.mark.parametrize("n", [1, 7, 200])
+    @pytest.mark.parametrize("cells", ["a", "b", "c", "k2", "k4"])
+    @pytest.mark.parametrize("alt", _FAMILIES)
+    def test_rejections_equal_oracle(self, monkeypatch, alt, cells, n):
+        p = {"k2": _P2, "k4": _P4}.get(cells) or preset_probability(cells)
+        cfg = PowerSimConfig(null=DistributionSpec("normal", (0.1, 1.1)),
+                             alternative=DistributionSpec.parse(alt), p=p, n=n,
+                             reps=1, master_seed=20260811, matrix=_MATRICES.get(p.k))
+        inputs = _engine_inputs(cfg)
+        reps = range(3, 3 + 157)
+        expected = power_oracle.run_block(*inputs, reps)
+        assert np.array_equal(power._run_block(*inputs, reps), expected)
+        # Blocks of 24 draws: 24, 3 and 1 replications per block at n = 1, 7, 200,
+        # so 157 replications end in a partial block.
+        monkeypatch.setattr(power, "BLOCK_DRAWS", 24)
+        assert np.array_equal(power._run_block(*inputs, reps), expected)
+
+    def test_block_rows_bounded_by_block_draws(self, monkeypatch):
+        shapes = []
+        original = power.BinningScheme.bin_counts
+
+        def recording(self, sample):
+            shapes.append(sample.shape)
+            return original(self, sample)
+
+        monkeypatch.setattr(power.BinningScheme, "bin_counts", recording)
+        monkeypatch.setattr(power, "BLOCK_DRAWS", 1000)
+        cfg = PowerSimConfig(null=DistributionSpec("normal", (0, 1)),
+                             alternative=DistributionSpec("t", (2,)),
+                             p=preset_probability("b"), n=30, reps=100, master_seed=4)
+        simulate_power(cfg)
+        assert shapes == [(33, 30), (33, 30), (33, 30), (1, 30)]
