@@ -3,7 +3,7 @@ that decides when they exist.
 
 The package constructs structured power-of-two Latin squares, enumerates
 their +/-1 colorings, certifies symbolic orthogonality, connects valid
-colorings to division algebras and zero divisors, embeds the order-16
+colorings to division algebras and zero divisors, builds the order-16
 nine-variable orthogonal design, and decomposes the Pearson statistic
 into asymptotically independent single-degree components with a seeded
 Monte Carlo power harness.
@@ -20,13 +20,12 @@ from .chisq import (CellCounts, Decomposition, Eigenbasis, ProbabilityVector,
 from .coloring import (SignedLatinSquare, choices_from_bitstring,
                        choices_to_bitstring, color, enumerate_colorings,
                        is_latin_hadamard, num_free_choices,
-                       partial_orthogonality_report, sign_pattern_is_hadamard)
+                       partial_orthogonality_report)
 from .design import (OrthogonalDesign, builtin_design_16, design_to_eigenbasis,
                      verify_design)
 from .errors import InternalConsistencyError, SizeError, ValidationError
 from .latin import (CornerQuad, LatinSquare, construct_latin_square,
-                    enumerate_abba_quads, find_abba_partner,
-                    quad_sign_products)
+                    enumerate_abba_quads, quad_sign_products)
 from .power import (BinningScheme, DistributionSpec, PowerSimConfig,
                     PowerSimResult, bin_edges, chi_square_critical,
                     matched_normal_null, normal_critical, normal_quantile,

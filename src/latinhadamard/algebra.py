@@ -54,10 +54,6 @@ class AlgebraTable:
         self.signs = signs
         self.indices = indices
 
-    def basis_product(self, i: int, j: int) -> tuple[int, int]:
-        """e_i * e_j as (sign, basis index), 1-based."""
-        return int(self.signs[i - 1, j - 1]), int(self.indices[i - 1, j - 1])
-
     def multiply(self, a, b) -> np.ndarray:
         """Bilinear product of integer coefficient vectors, exact."""
         a = np.asarray(a, dtype=np.int64)

@@ -25,7 +25,7 @@ __all__ = [
     "SignedLatinSquare", "num_free_choices",
     "choices_from_bitstring", "choices_to_bitstring", "color",
     "enumerate_colorings", "is_latin_hadamard",
-    "partial_orthogonality_report", "sign_pattern_is_hadamard",
+    "partial_orthogonality_report",
 ]
 
 EXHAUSTIVE_MAX_W = 4
@@ -214,14 +214,3 @@ def partial_orthogonality_report(H: SignedLatinSquare) -> set:
     k, l = np.nonzero(np.triu(~failed, 1))
     return set(zip((k + 1).tolist(), (l + 1).tolist()))
 
-
-def sign_pattern_is_hadamard(H) -> bool:
-    """True iff the bare sign matrix has pairwise orthogonal rows.
-
-    Accepts a SignedLatinSquare or any square +/-1 array.
-    """
-    G = H.signs if isinstance(H, SignedLatinSquare) else np.asarray(H, dtype=np.int64)
-    n = G.shape[0]
-    if G.shape != (n, n) or not (np.abs(G) == 1).all():
-        raise ValidationError("expected a square matrix of +1/-1 signs")
-    return bool(np.array_equal(G @ G.T, n * np.eye(n, dtype=np.int64)))

@@ -1,13 +1,18 @@
-"""Orthogonal designs and the 16-cell decomposition they enable.
+"""Orthogonal designs read off colorings, and the 16-cell decomposition.
 
 No 16x16 signed Latin square has fully orthogonal columns when all
-sixteen symbols are independent, but a published nine-variable
-orthogonal design of order 16 fills the gap: tying the sixteen cell
-probabilities to nine free values makes its transpose an orthonormal
-eigenbasis, so the component decomposition carries over with those
-relations imposed.  The design matrix is embedded as data; its
-defining identity A A' = (sum_i s_i x_i^2) I is re-verified symbolically
-to guard the transcription.
+sixteen symbols are independent.  Tying symbols to shared variables
+("imposing relations on the cell probabilities") can restore it: a
+design is a coloring of the structured square together with a map phi
+from symbols to variables, and its entry (i, j) is +/-x_phi(S[i, j]).
+The built-in order-16 design on nine variables is the all-plus coloring
+with symbols 10..16 tied to x_2..x_8.  Its defining identity
+A A' = (sum_i s_i x_i^2) I is certified on the AB-BA quad kernel: in a
+row pair, each quad with sign product -1 cancels its own two terms, so
+the identity holds exactly when the remaining terms cancel within each
+monomial.  The transpose of such a design, with x_i <- sqrt(p_i), is an
+orthonormal eigenbasis, so the component decomposition carries over
+with those relations imposed.
 """
 
 from __future__ import annotations
@@ -15,117 +20,79 @@ from __future__ import annotations
 import numpy as np
 
 from .chisq import Eigenbasis, ProbabilityVector
+from .coloring import SignedLatinSquare, color
 from .errors import ValidationError
+from .latin import construct_latin_square, quad_sign_products
 
 __all__ = ["OrthogonalDesign", "builtin_design_16", "verify_design",
            "design_to_eigenbasis", "DESIGN_16_CELL_VARIABLES"]
 
 
 class OrthogonalDesign:
-    """n x n matrix over {0, +/-x_1, ..., +/-x_l} with A A' = (sum s_i x_i^2) I.
+    """A signed Latin square whose symbols are tied to variables x_1..x_l.
 
-    entries holds signed variable indices (0 for an empty cell); the
-    type vector s counts how many times each variable appears per row.
+    ``variables[a - 1]`` is the variable of symbol a.  ``entries`` holds
+    signed variable indices, diag(1, -1, ..., -1) (signs * phi(S)): the
+    row negation puts +x_1 on the diagonal.  Each row holds each symbol
+    once, so the type vector s counts the symbols tied to each variable.
     """
 
-    __slots__ = ("order", "num_vars", "entries", "type")
+    __slots__ = ("signed", "variables", "order", "num_vars", "entries", "type")
 
-    def __init__(self, entries):
-        arr = np.asarray(entries, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValidationError("design must be square")
-        n = arr.shape[0]
-        variables = np.unique(np.abs(arr[arr != 0]))
-        if variables.size == 0:
-            raise ValidationError("design has no variables")
-        l = int(variables.max())
-        if not np.array_equal(variables, np.arange(1, l + 1)):
+    def __init__(self, signed: SignedLatinSquare, variables):
+        phi = np.array(variables, dtype=np.int64)
+        n = signed.n
+        if phi.shape != (n,):
+            raise ValidationError(f"need one variable per symbol ({n}), got shape {phi.shape}")
+        l = int(phi.max())
+        if not np.array_equal(np.unique(phi), np.arange(1, l + 1)):
             raise ValidationError("variable indices must be 1..l without gaps")
-        counts = np.zeros((n, l), dtype=np.int64)
-        for r in range(n):
-            for v in np.abs(arr[r]):
-                if v:
-                    counts[r, v - 1] += 1
-        if not (counts == counts[0]).all():
-            raise ValidationError("every row must use each variable equally often")
-        arr = arr.copy()
-        arr.setflags(write=False)
+        rows = np.full(n, -1, dtype=np.int64)
+        rows[0] = 1
+        entries = rows[:, None] * signed.signs * phi[signed.square.entries - 1]
+        entries.setflags(write=False)
+        phi.setflags(write=False)
+        self.signed = signed
+        self.variables = phi
         self.order = n
         self.num_vars = l
-        self.entries = arr
-        self.type = tuple(int(c) for c in counts[0])
+        self.entries = entries
+        self.type = tuple(int(c) for c in np.bincount(phi)[1:])
 
     def __repr__(self) -> str:
         return f"OrthogonalDesign(order={self.order}, num_vars={self.num_vars})"
 
 
-# Order-16 design on nine variables; rows transcribed from the published
-# matrix.  Entry -4 means -x_4.  verify_design() certifies the identity
-# A A' = (x_1^2 + x_9^2 + 2(x_2^2 + ... + x_8^2)) I.
-#
-# The printed source carries six sign typos (four entries in row 6, two
-# in row 11) under which the identity fails; the values below are the
-# ones forced by the design's own block structure (rows 9..16 repeat
-# rows 1..8 under a fixed sign rule, which row 14 as printed confirms),
-# and the identity holds exactly for them.
-_DESIGN_16_ROWS = """
-+1 +2 +3 +4 +5 +6 +7 +8 +9 +2 +3 +4 +5 +6 +7 +8
--2 +1 -4 +3 -6 +5 +8 -7 -2 +9 +4 -3 +6 -5 -8 +7
--3 +4 +1 -2 -7 -8 +5 +6 -3 -4 +9 +2 +7 +8 -5 -6
--4 -3 +2 +1 -8 +7 -6 +5 -4 +3 -2 +9 +8 -7 +6 -5
--5 +6 +7 +8 +1 -2 -3 -4 -5 -6 -7 -8 +9 +2 +3 +4
--6 -5 +8 -7 +2 +1 +4 -3 -6 +5 -8 +7 -2 +9 -4 +3
--7 -8 -5 +6 +3 -4 +1 +2 -7 +8 +5 -6 -3 +4 +9 -2
--8 +7 -6 -5 +4 +3 -2 +1 -8 -7 +6 +5 -4 -3 +2 +9
--9 +2 +3 +4 +5 +6 +7 +8 +1 -2 -3 -4 -5 -6 -7 -8
--2 -9 +4 -3 +6 -5 -8 +7 +2 +1 +4 -3 +6 -5 -8 +7
--3 -4 -9 +2 +7 +8 -5 -6 +3 -4 +1 +2 +7 +8 -5 -6
--4 +3 -2 -9 +8 -7 +6 -5 +4 +3 -2 +1 +8 -7 +6 -5
--5 -6 -7 -8 -9 +2 +3 +4 +5 -6 -7 -8 +1 +2 +3 +4
--6 +5 -8 +7 -2 -9 -4 +3 +6 +5 -8 +7 -2 +1 -4 +3
--7 +8 +5 -6 -3 +4 -9 -2 +7 +8 +5 -6 -3 +4 +1 -2
--8 -7 +6 +5 -4 -3 +2 -9 +8 -7 +6 +5 -4 -3 +2 +1
-"""
-
-
-def _parse_rows(text: str) -> np.ndarray:
-    return np.array([[int(tok) for tok in line.split()]
-                     for line in text.strip().splitlines()], dtype=np.int64)
+# Variable of each of the 16 symbols: symbols 1..9 are x_1..x_9 and
+# symbols 10..16 repeat x_2..x_8.
+DESIGN_16_CELL_VARIABLES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 2, 3, 4, 5, 6, 7, 8)
 
 
 def builtin_design_16() -> OrthogonalDesign:
-    """The embedded order-16, nine-variable orthogonal design."""
-    return OrthogonalDesign(_parse_rows(_DESIGN_16_ROWS))
-
-
-# Variable index of each of the 16 cells, read off row 1 of the design.
-DESIGN_16_CELL_VARIABLES = tuple(int(v) for v in _parse_rows(_DESIGN_16_ROWS)[0])
+    """The order-16, nine-variable design: the all-plus w=4 coloring."""
+    return OrthogonalDesign(color(construct_latin_square(4), (1,) * 11),
+                            DESIGN_16_CELL_VARIABLES)
 
 
 def verify_design(design: OrthogonalDesign) -> bool:
-    """Symbolically check A A' = (sum_i s_i x_i^2) I over exact integers."""
-    A = design.entries
+    """Symbolically check A A' = (sum_i s_i x_i^2) I over exact integers.
+
+    The diagonal holds by construction.  Off the diagonal, the terms of
+    a row pair that survive the quads with sign product -1 (closed
+    quads with product +1, and open corners) must cancel within each
+    unordered variable monomial.
+    """
+    S = design.signed.square.entries
+    G = design.signed.signs
     n = design.order
-    l = design.num_vars
-    variables = np.abs(A)
-    signs = np.sign(A)
-    for r in range(n):
-        for rp in range(r, n):
-            acc = np.zeros((l + 1, l + 1), dtype=np.int64)
-            a, b = variables[r], variables[rp]
-            s = signs[r] * signs[rp]
-            live = (a != 0) & (b != 0)
-            lo = np.minimum(a, b)[live]
-            hi = np.maximum(a, b)[live]
-            np.add.at(acc, (lo, hi), s[live])
-            if r == rp:
-                expected = np.zeros_like(acc)
-                expected[np.arange(1, l + 1), np.arange(1, l + 1)] = design.type
-                if not np.array_equal(acc, expected):
-                    return False
-            elif acc.any():
-                return False
-    return True
+    _, closes, product = quad_sign_products(S, G)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)[:, :, None]
+    i, j, k = np.nonzero(upper & (~closes | (product == 1)))
+    a = design.variables[S[i, k] - 1]
+    b = design.variables[S[j, k] - 1]
+    acc = np.zeros((n, n, design.num_vars + 1, design.num_vars + 1), dtype=np.int64)
+    np.add.at(acc, (i, j, np.minimum(a, b), np.maximum(a, b)), G[i, k] * G[j, k])
+    return not acc.any()
 
 
 def design_to_eigenbasis(design: OrthogonalDesign, p_vars,
@@ -133,8 +100,8 @@ def design_to_eigenbasis(design: OrthogonalDesign, p_vars,
     """Substitute x_i <- sqrt(p_vars_i) and transpose into an eigenbasis.
 
     The variable probabilities must be strictly positive and satisfy
-    sum_i s_i * p_vars_i = 1 so that the columns have unit norm; the
-    induced cell probabilities are read off row 1 of the design.
+    sum_i s_i * p_vars_i = 1 so that the columns have unit norm; cell a
+    has probability p_vars of the variable its symbol is tied to.
     """
     values = np.asarray(p_vars, dtype=float)
     if values.shape != (design.num_vars,):
@@ -146,8 +113,6 @@ def design_to_eigenbasis(design: OrthogonalDesign, p_vars,
     if abs(norm - 1.0) > tol:
         raise ValidationError(
             f"type-weighted sum of variable probabilities must be 1 (got {norm!r})")
-    roots = np.sqrt(values)
     A = design.entries
-    substituted = np.sign(A) * np.where(A != 0, roots[np.abs(A) - 1], 0.0)
-    cell_p = values[np.abs(A[0]) - 1]
-    return Eigenbasis(substituted.T, ProbabilityVector(cell_p))
+    substituted = np.sign(A) * np.sqrt(values)[np.abs(A) - 1]
+    return Eigenbasis(substituted.T, ProbabilityVector(values[design.variables - 1]))

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InternalConsistencyError, ValidationError
 
 __all__ = ["LatinSquare", "CornerQuad", "construct_latin_square",
-           "find_abba_partner", "quad_sign_products", "enumerate_abba_quads"]
+           "quad_sign_products", "enumerate_abba_quads"]
 
 
 class LatinSquare:
@@ -98,26 +98,6 @@ def construct_latin_square(w: int) -> LatinSquare:
         shifted = block + half
         block = np.block([[block, shifted], [shifted, block]])
     return LatinSquare(w, block)
-
-
-def find_abba_partner(square: LatinSquare, i1: int, j1: int, j2: int) -> CornerQuad:
-    """Complete the AB-BA quad through row i1 and columns j1 != j2.
-
-    The partner row i2 is the unique row holding b = S[i1,j2] in column
-    j1; the Latin property guarantees existence and uniqueness, and the
-    AB-BA property guarantees S[i2,j2] == S[i1,j1].
-    """
-    if j1 == j2:
-        raise ValidationError("column indices must differ")
-    a = square.entry(i1, j1)
-    b = square.entry(i1, j2)
-    col = square.column(j1)
-    i2 = int(np.nonzero(col == b)[0][0]) + 1
-    if i2 == i1 or square.entry(i2, j2) != a:
-        raise InternalConsistencyError(
-            f"AB-BA partner missing for (i1={i1}, j1={j1}, j2={j2}); "
-            "the square does not have the corner property")
-    return CornerQuad(i1=i1, j1=j1, i2=i2, j2=j2, a=a, b=b)
 
 
 def quad_sign_products(symbols, signs):

@@ -374,17 +374,17 @@ def simulate_power(cfg: PowerSimConfig, threads: int | None = None) -> PowerSimR
 
     if threads is None or threads < 1:
         threads = 1
-    block = math.ceil(cfg.reps / threads)
+    # The result does not depend on the chunking, and each chunk costs a
+    # pool task, a Philox and a block, so there is one chunk per worker
+    # and never more workers than CPUs.
+    block = math.ceil(cfg.reps / min(threads, os.cpu_count() or 1))
     ranges = [range(start, min(start + block, cfg.reps))
               for start in range(0, cfg.reps, block)]
     if len(ranges) == 1:
         totals = _run_block(cfg, scheme, vectors, sqrt_expected, expected,
                             chi_crit, z_crit, ranges[0])
     else:
-        # The chunking follows the requested thread count, so the result
-        # cannot depend on the pool size, which never exceeds the CPUs.
-        workers = min(len(ranges), os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
             parts = pool.map(
                 lambda r: _run_block(cfg, scheme, vectors, sqrt_expected,
                                      expected, chi_crit, z_crit, r), ranges)

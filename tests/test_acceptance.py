@@ -24,6 +24,7 @@ from latinhadamard import (CellCounts, DistributionSpec, ProbabilityVector,
                            table_from_signed_square, verify_design)
 from latinhadamard.cli import run as cli_run
 
+from design_oracle import monomial_identity_holds
 from gram_oracle import gram_is_latin_hadamard
 from reference_tables import (LATIN_SQUARE_16, QUATERNION_TABLE,
                               SIGNED_SQUARE_8, VALID_SIGNED_SQUARES_4,
@@ -124,8 +125,12 @@ def test_criterion_5_radon_values():
 
 
 def test_criterion_6_design_identity():
-    ok = verify_design(builtin_design_16())
-    report(6, ok, "A A' = (x1^2 + x9^2 + 2(x2^2+..+x8^2)) I holds symbolically")
+    design = builtin_design_16()
+    kernel_ok = verify_design(design)
+    oracle_ok = monomial_identity_holds(design.entries, design.type)
+    report(6, kernel_ok and oracle_ok,
+           f"A A' = (x1^2 + x9^2 + 2(x2^2+..+x8^2)) I holds symbolically: "
+           f"quad kernel {kernel_ok}, monomial oracle {oracle_ok}")
 
 
 def test_criterion_7_partition_identity():

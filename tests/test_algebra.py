@@ -19,6 +19,13 @@ def basis_vector(dim, index, sign=1):
     return v
 
 
+def basis_product(table, i, j):
+    """e_i * e_j as (sign, basis index), 1-based, read off the bilinear product."""
+    out = table.multiply(basis_vector(table.dim, i), basis_vector(table.dim, j))
+    (k,) = np.nonzero(out)[0]
+    return int(out[k]), int(k) + 1
+
+
 def brute_force_zero_divisors(table):
     """Full unpruned scan over every (e_i +/- e_j)(e_k +/- e_l)."""
     n = table.dim
@@ -39,15 +46,15 @@ def brute_force_zero_divisors(table):
 def test_trivial_table():
     table = cayley_dickson_table(0)
     assert table.dim == 1
-    assert table.basis_product(1, 1) == (1, 1)
+    assert basis_product(table, 1, 1) == (1, 1)
 
 
 def test_quaternion_table_matches_reference():
     table = cayley_dickson_table(2)
     assert np.array_equal(table.signs * table.indices, QUATERNION_TABLE)
-    assert table.basis_product(2, 3) == (1, 4)
-    assert table.basis_product(3, 2) == (-1, 4)
-    assert table.basis_product(2, 2) == (-1, 1)
+    assert basis_product(table, 2, 3) == (1, 4)
+    assert basis_product(table, 3, 2) == (-1, 4)
+    assert basis_product(table, 2, 2) == (-1, 1)
 
 
 @pytest.mark.parametrize("m", range(6))
@@ -62,10 +69,10 @@ def test_quaternions_are_associative():
     for i in range(1, 5):
         for j in range(1, 5):
             for k in range(1, 5):
-                si, a = table.basis_product(i, j)
-                s1, left = table.basis_product(a, k)
-                sj, b = table.basis_product(j, k)
-                s2, right = table.basis_product(i, b)
+                si, a = basis_product(table, i, j)
+                s1, left = basis_product(table, a, k)
+                sj, b = basis_product(table, j, k)
+                s2, right = basis_product(table, i, b)
                 assert (si * s1, left) == (sj * s2, right)
 
 
@@ -73,10 +80,10 @@ def test_sedenion_multiplication_not_associative():
     table = cayley_dickson_table(4)
     violations = 0
     for i, j, k in ((2, 3, 5), (2, 9, 10), (3, 10, 15)):
-        si, a = table.basis_product(i, j)
-        s1, left = table.basis_product(a, k)
-        sj, b = table.basis_product(j, k)
-        s2, right = table.basis_product(i, b)
+        si, a = basis_product(table, i, j)
+        s1, left = basis_product(table, a, k)
+        sj, b = basis_product(table, j, k)
+        s2, right = basis_product(table, i, b)
         violations += (si * s1, left) != (sj * s2, right)
     assert violations > 0
 
@@ -125,8 +132,8 @@ def test_other_4x4_coloring_is_quaternion_isomorphic():
         # taken in the reference algebra
         for i in range(1, 5):
             for j in range(1, 5):
-                s, k = table.basis_product(i, j)
-                s_ref, k_ref = reference.basis_product(mapping[i], mapping[j])
+                s, k = basis_product(table, i, j)
+                s_ref, k_ref = basis_product(reference, mapping[i], mapping[j])
                 if k_ref != mapping[k] or signs[i] * signs[j] * s_ref != s * signs[k]:
                     return False
         return True

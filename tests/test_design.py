@@ -1,10 +1,21 @@
+from itertools import permutations, product
+
 import numpy as np
 import pytest
 
-from latinhadamard import (CellCounts, OrthogonalDesign, ValidationError,
-                           builtin_design_16, decompose, design_to_eigenbasis,
-                           radon, verify_design)
+from latinhadamard import (CellCounts, OrthogonalDesign, SignedLatinSquare,
+                           ValidationError, builtin_design_16, color,
+                           construct_latin_square, decompose,
+                           design_to_eigenbasis, enumerate_colorings, radon,
+                           verify_design)
 from latinhadamard.design import DESIGN_16_CELL_VARIABLES
+from latinhadamard.latin import LatinSquare
+
+from design_oracle import monomial_identity_holds
+from reference_tables import DESIGN_16
+
+# phi on both halves of the 32 symbols, with symbol 17 tied to a new x_10.
+DESIGN_32_CELL_VARIABLES = DESIGN_16_CELL_VARIABLES + (10,) + DESIGN_16_CELL_VARIABLES[1:]
 
 
 def admissible_p_vars(rng, design):
@@ -25,23 +36,97 @@ def test_reference_entries():
     assert entries[0, 8] == 9
     assert entries[1, 1] == 1
     assert tuple(entries[0]) == DESIGN_16_CELL_VARIABLES
+    assert np.array_equal(entries, DESIGN_16)
 
 
 def test_defining_identity_holds():
-    assert verify_design(builtin_design_16())
+    design = builtin_design_16()
+    assert verify_design(design)
+    assert monomial_identity_holds(design.entries, design.type)
+
+
+def flipped(H, i, j):
+    signs = H.signs.copy()
+    signs[i, j] = -signs[i, j]
+    return SignedLatinSquare(H.square, signs)
 
 
 def test_single_sign_flip_breaks_identity():
-    entries = builtin_design_16().entries.copy()
-    entries.setflags(write=True)
-    entries[1, 2] = -entries[1, 2]
-    assert not verify_design(OrthogonalDesign(entries))
+    H = builtin_design_16().signed
+    design = OrthogonalDesign(flipped(H, 1, 2), DESIGN_16_CELL_VARIABLES)
+    assert not verify_design(design)
+    assert not monomial_identity_holds(design.entries, design.type)
+
+
+def test_every_single_off_diagonal_flip_is_rejected():
+    # First row, first column and diagonal are fixed by SignedLatinSquare;
+    # the other 16*16 - 31 - 15 = 210 signs are free to flip.
+    H = builtin_design_16().signed
+    rejected = 0
+    for i in range(1, 16):
+        for j in range(1, 16):
+            if i != j:
+                design = OrthogonalDesign(flipped(H, i, j), DESIGN_16_CELL_VARIABLES)
+                rejected += not (verify_design(design)
+                                 or monomial_identity_holds(design.entries, design.type))
+    assert rejected == 210
+
+
+def test_kernel_agrees_with_oracle_on_every_w4_coloring():
+    valid = 0
+    for H in enumerate_colorings(construct_latin_square(4)):
+        design = OrthogonalDesign(H, DESIGN_16_CELL_VARIABLES)
+        ok = verify_design(design)
+        assert ok == monomial_identity_holds(design.entries, design.type), H.choices
+        valid += ok
+    assert valid == 32
+
+
+def test_kernel_agrees_with_oracle_on_every_small_design():
+    # Every reduced 4x4 Latin square (two of the four have open AB-BA
+    # corners, whose terms no quad cancels), every gap-free map of the
+    # four symbols to variables, and every admissible sign matrix.
+    starting = [[r for r in permutations(range(1, 5)) if r[0] == s] for s in (2, 3, 4)]
+    squares = []
+    for rows in product(*starting):
+        entries = np.array(((1, 2, 3, 4),) + rows)
+        if (np.sort(entries, axis=0) == np.arange(1, 5)[:, None]).all():
+            squares.append(LatinSquare(2, entries))
+    maps = [m for m in product(range(1, 5), repeat=4)
+            if set(m) == set(range(1, max(m) + 1))]
+    free = [(i, j) for i in range(1, 4) for j in range(1, 4) if i != j]
+    valid = 0
+    for square in squares:
+        for flips in product((1, -1), repeat=len(free)):
+            signs = -np.eye(4, dtype=np.int64)
+            signs[0] = signs[:, 0] = 1
+            for (i, j), s in zip(free, flips):
+                signs[i, j] = s
+            H = SignedLatinSquare(square, signs)
+            for variables in maps:
+                design = OrthogonalDesign(H, variables)
+                ok = verify_design(design)
+                assert ok == monomial_identity_holds(design.entries, design.type), \
+                    (square.entries, signs, variables)
+                valid += ok
+    assert len(squares) == 4 and len(maps) == 75
+    assert valid == 228
+
+
+def test_doubled_design_on_32_cells():
+    H = color(construct_latin_square(5), (1,) * 26)
+    design = OrthogonalDesign(H, DESIGN_32_CELL_VARIABLES)
+    assert design.type == (1, 4, 4, 4, 4, 4, 4, 4, 2, 1)
+    assert design.num_vars == radon(32)
+    assert verify_design(design)
+    assert monomial_identity_holds(design.entries, design.type)
 
 
 def test_trivial_design():
-    one = OrthogonalDesign([[1]])
+    one = OrthogonalDesign(color(construct_latin_square(0), ()), (1,))
     assert verify_design(one)
     assert one.type == (1,)
+    assert one.entries.tolist() == [[1]]
 
 
 def test_variable_count_meets_radon_bound():
@@ -91,8 +176,11 @@ def test_sixteen_cell_partition_identity():
         assert abs(result.sum_check) <= 1e-10 * max(1.0, result.x2)
 
 
-def test_design_validation_rejects_uneven_rows():
+def test_design_validation_rejects_bad_variable_maps():
+    H = color(construct_latin_square(1), ())
     with pytest.raises(ValidationError):
-        OrthogonalDesign([[1, 2], [2, 2]])
+        OrthogonalDesign(H, (1,))  # one variable for two symbols
     with pytest.raises(ValidationError):
-        OrthogonalDesign([[1, 3], [3, 1]])  # gap in variable indices
+        OrthogonalDesign(H, (1, 3))  # gap in variable indices
+    with pytest.raises(ValidationError):
+        OrthogonalDesign(H, (0, 1))  # variables are numbered from 1

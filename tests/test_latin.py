@@ -3,8 +3,8 @@ import pytest
 
 from latinhadamard import (InternalConsistencyError, ValidationError,
                            construct_latin_square, enumerate_abba_quads,
-                           find_abba_partner, quad_sign_products)
-from latinhadamard.latin import LatinSquare
+                           quad_sign_products)
+from latinhadamard.latin import CornerQuad, LatinSquare
 
 from reference_tables import LATIN_SQUARE_16
 
@@ -70,6 +70,20 @@ def test_block_doubling_identity(w):
     assert np.array_equal(A, construct_latin_square(w - 1).entries)
 
 
+def find_abba_partner(square, i1, j1, j2):
+    """Complete the AB-BA quad through row i1 and columns j1 != j2 (1-based).
+
+    The partner row i2 is the unique row holding b = S[i1,j2] in column
+    j1; the square has the AB-BA property where S[i2,j2] == S[i1,j1].
+    """
+    a = square.entry(i1, j1)
+    b = square.entry(i1, j2)
+    i2 = int(np.nonzero(square.column(j1) == b)[0][0]) + 1
+    if i2 == i1 or square.entry(i2, j2) != a:
+        raise InternalConsistencyError(f"AB-BA partner missing for ({i1}, {j1}, {j2})")
+    return CornerQuad(i1=i1, j1=j1, i2=i2, j2=j2, a=a, b=b)
+
+
 def test_partner_examples():
     q = find_abba_partner(construct_latin_square(4), 1, 1, 2)
     assert (q.i2, q.a, q.b) == (2, 1, 2)
@@ -79,15 +93,13 @@ def test_partner_examples():
     assert q.i2 == 2
 
 
-def test_partner_rejects_equal_columns():
-    with pytest.raises(ValidationError):
-        find_abba_partner(construct_latin_square(2), 1, 3, 3)
-
-
 @pytest.mark.parametrize("w", (1, 2, 3))
 def test_partner_closure(w):
     square = construct_latin_square(w)
     n = square.n
+    # On the transpose, row pair (j2, j1) and column i1 give the partner
+    # row holding S[i1, j2] in column j1.
+    partner, closes, _ = quad_sign_products(square.entries.T, np.ones((n, n)))
     for i1 in range(1, n + 1):
         for j1 in range(1, n + 1):
             for j2 in range(1, n + 1):
@@ -97,6 +109,8 @@ def test_partner_closure(w):
                 assert q.i2 != i1
                 assert square.entry(q.i2, j1) == q.b
                 assert square.entry(q.i2, j2) == q.a
+                assert closes[j2 - 1, j1 - 1, i1 - 1]
+                assert partner[j2 - 1, j1 - 1, i1 - 1] + 1 == q.i2
 
 
 def test_partner_detects_broken_square():

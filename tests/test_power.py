@@ -214,7 +214,25 @@ class TestSimulation:
         monkeypatch.setattr(power, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(power.os, "cpu_count", lambda: cpus)
         result = simulate_power(cfg, threads=64)
-        assert started == [workers]
+        # One chunk per worker; a single chunk runs without a pool.
+        assert started == ([workers] if workers > 1 else [])
+        assert np.array_equal(result.rates, baseline.rates)
+
+    def test_chunks_never_exceed_cpu_count(self, monkeypatch):
+        calls = []
+        run_block = power._run_block
+
+        def recording_run_block(*args):
+            calls.append(args[-1])
+            return run_block(*args)
+
+        cfg = self.config(reps=64)
+        baseline = simulate_power(cfg, threads=1)
+        monkeypatch.setattr(power, "_run_block", recording_run_block)
+        monkeypatch.setattr(power.os, "cpu_count", lambda: 2)
+        result = simulate_power(cfg, threads=10 ** 6)
+        assert len(calls) <= 2
+        assert sum(len(r) for r in calls) == 64
         assert np.array_equal(result.rates, baseline.rates)
 
     def test_seed_changes_results(self):
