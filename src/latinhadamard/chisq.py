@@ -148,7 +148,6 @@ class Decomposition:
 
     components: np.ndarray
     x2: float
-    y: np.ndarray
 
     @property
     def sum_check(self) -> float:
@@ -193,9 +192,12 @@ def eigenbasis_from_latin_hadamard(H: SignedLatinSquare,
                                    p: ProbabilityVector) -> Eigenbasis:
     """O[i,j] = sign(H[i,j]) * sqrt(p_s) with s = |H[i,j]|.
 
-    Requires H to be a Latin-Hadamard matrix (all columns and rows
-    symbolically orthogonal); that is exactly what makes O orthonormal
-    for every probability vector.
+    This is the one path from a signed square to a component basis:
+    ``decompose --matrix``, ``power --matrix`` and
+    ``PowerSimConfig.matrix`` all come through here.  H must be
+    Latin-Hadamard, and it is checked here whatever its source (a
+    builtin coloring, a matrix file or a caller's square); that is
+    exactly what makes O orthonormal for every probability vector.
     """
     if p.k != H.n:
         raise ValidationError(f"matrix order {H.n} does not match {p.k} cells")
@@ -234,7 +236,7 @@ def decompose(m: CellCounts, p: ProbabilityVector, basis: Eigenbasis,
     if abs(x2 - np.square(components).sum()) > rel_tol * max(1.0, x2):
         raise InternalConsistencyError(
             "component squares do not reproduce the Pearson statistic")
-    return Decomposition(components=components, x2=x2, y=y)
+    return Decomposition(components=components, x2=x2)
 
 
 def canonical_signed_square_8() -> SignedLatinSquare:

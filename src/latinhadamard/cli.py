@@ -72,12 +72,6 @@ def _parse_probability(text: str) -> ProbabilityVector:
     return ProbabilityVector(_parse_floats(text))
 
 
-def _survivors_8() -> list:
-    square = construct_latin_square(3)
-    return [H for H in coloring.enumerate_colorings(square)
-            if coloring.is_latin_hadamard(H)]
-
-
 def _load_matrix(source: str | None) -> coloring.SignedLatinSquare:
     if source is None:
         return canonical_signed_square_8()
@@ -87,18 +81,21 @@ def _load_matrix(source: str | None) -> coloring.SignedLatinSquare:
             index = int(token)
         except ValueError:
             raise ValidationError(f"bad builtin matrix index {token!r}") from None
-        survivors = _survivors_8()
-        if not 0 <= index < len(survivors):
-            raise ValidationError(
-                f"builtin index must be 0..{len(survivors) - 1}, got {index}")
-        return survivors[index]
+        if not 0 <= index < 16:
+            raise ValidationError(f"builtin index must be 0..15, got {index}")
+        # All 16 colorings of the 8x8 square are Latin-Hadamard, so the
+        # i-th valid matrix in enumeration order is coloring i itself.
+        return coloring.color(construct_latin_square(3),
+                              coloring.choices_from_bitstring(format(index, "04b")))
     try:
         with open(source, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read matrix file {source!r}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"matrix file {source!r} is not valid JSON: {exc}") from None
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: a NUL byte in the path, or bytes that are not UTF-8;
+        # RecursionError: JSON nested too deeply to parse.
+        raise ValidationError(f"cannot read matrix file {source!r}: {exc}") from None
     entries = payload.get("H") if isinstance(payload, dict) else payload
     if entries is None:
         raise ValidationError("matrix file must hold an 'H' field or a bare matrix")
@@ -228,12 +225,11 @@ def _cmd_power(args) -> str:
     fmt = args.format or "table"
     _require_format(fmt, ("table", "json", "csv"))
     p = _parse_probability(args.preset if args.preset else args.p)
-    matrix = _load_matrix(args.matrix) if args.matrix else None
     cfg = PowerSimConfig(
         null=DistributionSpec.parse(args.null),
         alternative=DistributionSpec.parse(args.alt),
         p=p, n=args.n, reps=args.reps, alpha=args.alpha,
-        master_seed=args.seed, matrix=matrix)
+        master_seed=args.seed, matrix=_load_matrix(args.matrix))
     result = simulate_power(cfg, threads=args.threads)
     if fmt == "csv":
         lines = ["statistic,rate,se"]
@@ -261,10 +257,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--format", default=None,
                         help="output format (command-dependent)")
     common.add_argument("--out", default=None, help="write output to this file")
-    common.add_argument("--seed", type=int, default=0,
-                        help="master seed (LH_SEED env var overrides)")
-    common.add_argument("--threads", type=int, default=os.cpu_count(),
-                        help="worker threads where supported")
 
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -320,6 +312,10 @@ def _build_parser() -> _Parser:
     pw.add_argument("--alpha", type=float, default=0.05)
     pw.add_argument("--matrix", default=None,
                     help="matrix file or builtin:<index> (default: canonical)")
+    pw.add_argument("--seed", type=int, default=0,
+                    help="master seed (LH_SEED env var overrides)")
+    pw.add_argument("--threads", type=int, default=1,
+                    help="worker threads, at most one per CPU")
     pw.set_defaults(func=_cmd_power)
     return parser
 
@@ -331,15 +327,15 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    env_seed = os.environ.get("LH_SEED")
-    if env_seed is not None:
-        try:
-            args.seed = int(env_seed)
-        except ValueError:
-            print(f"latinhadamard: error: LH_SEED must be an integer, got {env_seed!r}",
-                  file=sys.stderr)
-            return 1
     if args.command == "power":
+        env_seed = os.environ.get("LH_SEED")
+        if env_seed is not None:
+            try:
+                args.seed = int(env_seed)
+            except ValueError:
+                print(f"latinhadamard: error: LH_SEED must be an integer, got {env_seed!r}",
+                      file=sys.stderr)
+                return 1
         if not (args.preset or args.p):
             print("latinhadamard: error: power needs --preset or --p", file=sys.stderr)
             return 1

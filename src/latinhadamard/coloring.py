@@ -91,16 +91,17 @@ class SignedLatinSquare:
             raise ValidationError("signed matrix must be a rectangular array of numbers")
         if raw.dtype.kind == "f" and not (np.isfinite(raw) & (raw == np.rint(raw))).all():
             raise ValidationError("signed matrix entries must be integers")
-        arr = raw.astype(np.int64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
             raise ValidationError("signed matrix must be square")
-        n = arr.shape[0]
+        n = raw.shape[0]
         w = int(n).bit_length() - 1
         if 2 ** w != n:
             raise ValidationError(f"dimension must be a power of two, got {n}")
-        magnitude = np.abs(arr)
-        square = LatinSquare(w, magnitude)
-        return cls(square, np.sign(arr))
+        # Screened before the cast, which would wrap or warn beyond int64.
+        if not (np.abs(raw) <= n).all():
+            raise ValidationError(f"signed matrix entries must lie in -{n}..{n}")
+        arr = raw.astype(np.int64)
+        return cls(LatinSquare(w, np.abs(arr)), np.sign(arr))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SignedLatinSquare)
@@ -199,10 +200,14 @@ def _non_orthogonal_pairs(S: np.ndarray, G: np.ndarray):
 
 
 def is_latin_hadamard(H: SignedLatinSquare) -> bool:
-    """True iff all columns and all rows are symbolically orthogonal."""
-    S, G = H.square.entries, H.signs
-    return not (_non_orthogonal_pairs(S, G)[0].size
-                or _non_orthogonal_pairs(S.T, G.T)[0].size)
+    """True iff all columns and all rows are symbolically orthogonal.
+
+    Only the columns are checked.  Every column holds each symbol once,
+    so orthogonal columns give H^T H = (sum of x_a^2) I; a square matrix
+    with H^T H = cI, c nonzero, also has H H^T = cI, so the rows are
+    orthogonal too.
+    """
+    return not _non_orthogonal_pairs(H.square.entries, H.signs)[0].size
 
 
 def partial_orthogonality_report(H: SignedLatinSquare) -> set:

@@ -52,9 +52,6 @@ class LatinSquare:
         """Entry at 1-based position (i, j)."""
         return int(self.entries[i - 1, j - 1])
 
-    def row(self, i: int) -> np.ndarray:
-        return self.entries[i - 1]
-
     def column(self, j: int) -> np.ndarray:
         return self.entries[:, j - 1]
 

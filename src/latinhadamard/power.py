@@ -265,7 +265,7 @@ class PowerSimConfig:
     reps: int = 10000
     alpha: float = 0.05
     master_seed: int = 0
-    matrix: object = None  # SignedLatinSquare, Eigenbasis, or None for the default
+    matrix: SignedLatinSquare | None = None  # None: canonical_signed_square_8()
 
     def __post_init__(self):
         if self.reps < 1:
@@ -280,16 +280,8 @@ class PowerSimConfig:
             raise SizeError(f"replications are limited to {MAX_REPS}")
 
     def resolve_basis(self) -> Eigenbasis:
-        source = self.matrix
-        if source is None:
-            source = canonical_signed_square_8()
-        if isinstance(source, SignedLatinSquare):
-            return eigenbasis_from_latin_hadamard(source, self.p)
-        if isinstance(source, Eigenbasis):
-            if source.k != self.p.k or np.abs(source.p.p - self.p.p).max() > 1e-12:
-                raise ValidationError("eigenbasis does not match the cell probabilities")
-            return source
-        raise ValidationError(f"unsupported matrix source {type(source).__name__}")
+        return eigenbasis_from_latin_hadamard(
+            canonical_signed_square_8() if self.matrix is None else self.matrix, self.p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,15 +346,17 @@ def _run_block(cfg: PowerSimConfig, scheme: BinningScheme,
     return rejections
 
 
-def simulate_power(cfg: PowerSimConfig, threads: int | None = None) -> PowerSimResult:
+def simulate_power(cfg: PowerSimConfig, threads: int = 1) -> PowerSimResult:
     """Estimate rejection rates for X^2 and every component statistic.
 
     The overall statistic is compared against the upper chi-square
     critical value with k-1 degrees of freedom; each signed component
     against the two-sided normal critical value.  Replications are
     independent and may be chunked across threads without changing the
-    result.
+    result.  ``threads`` below 1 raises ValidationError.
     """
+    if threads < 1:
+        raise ValidationError(f"threads must be at least 1, got {threads}")
     basis = cfg.resolve_basis()
     scheme = bin_edges(cfg.null, cfg.p)
     k = cfg.p.k
@@ -372,8 +366,6 @@ def simulate_power(cfg: PowerSimConfig, threads: int | None = None) -> PowerSimR
     chi_crit = chi_square_critical(k - 1, cfg.alpha)
     z_crit = normal_critical(cfg.alpha)
 
-    if threads is None or threads < 1:
-        threads = 1
     # The result does not depend on the chunking, and each chunk costs a
     # pool task, a Philox and a block, so there is one chunk per worker
     # and never more workers than CPUs.

@@ -60,10 +60,15 @@ def symbolic_gram(H, rows: bool = False) -> SymbolicGram:
     return SymbolicGram(n=n, coefficients=coefficients)
 
 
-def _all_pairs_orthogonal(S, G, n) -> bool:
-    for j in range(n):
-        for jp in range(j + 1, n):
-            if pair_coefficients(S[:, j], S[:, jp], G[:, j] * G[:, jp], n).any():
+def gram_pairs_orthogonal(H, rows: bool = False) -> bool:
+    """True iff every column pair (or row pair) of H has a zero symbolic
+    dot product; stops at the first nonzero one."""
+    S, G = H.square.entries, H.signs
+    if rows:
+        S, G = S.T, G.T
+    for j in range(H.n):
+        for jp in range(j + 1, H.n):
+            if pair_coefficients(S[:, j], S[:, jp], G[:, j] * G[:, jp], H.n).any():
                 return False
     return True
 
@@ -71,5 +76,4 @@ def _all_pairs_orthogonal(S, G, n) -> bool:
 def gram_is_latin_hadamard(H) -> bool:
     """True iff every column pair and every row pair has a zero symbolic
     dot product; stops at the first nonzero one."""
-    S, G = H.square.entries, H.signs
-    return _all_pairs_orthogonal(S, G, H.n) and _all_pairs_orthogonal(S.T, G.T, H.n)
+    return gram_pairs_orthogonal(H) and gram_pairs_orthogonal(H, rows=True)

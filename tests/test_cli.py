@@ -5,13 +5,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import contextlib
+import io
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import latinhadamard
-from latinhadamard import canonical_signed_square_8, cli
+from latinhadamard import (canonical_signed_square_8, cli, construct_latin_square,
+                           enumerate_colorings)
 from latinhadamard.cli import run
 from latinhadamard.power import BLOCK_DRAWS, MAX_REPS
+
+from gram_oracle import gram_is_latin_hadamard
 
 
 def invoke(capsys, *argv):
@@ -168,6 +176,39 @@ def test_power_size_guard(capsys, monkeypatch, flag, value):
     assert "limited" in err
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_power_rejects_threads_below_one(capsys, threads):
+    code, out, err = invoke(capsys, "power", "--alt", "normal:0,1.3", "--preset", "a",
+                            "--reps", "100", "--threads", threads)
+    assert (code, out) == (1, "")
+    assert err.startswith("latinhadamard: error:") and err.count("\n") == 1
+
+
+def test_power_threads_default_to_one(capsys, monkeypatch):
+    seen = []
+    simulate = cli.simulate_power
+
+    def recording_simulate(cfg, threads):
+        seen.append(threads)
+        return simulate(cfg, threads)
+
+    monkeypatch.setattr(cli, "simulate_power", recording_simulate)
+    code, _, _ = invoke(capsys, "power", "--alt", "t:2", "--preset", "a", "--reps", "50")
+    assert code == 0
+    assert seen == [1]
+
+
+@pytest.mark.parametrize("command", [["construct", "--w", "1"], ["enumerate", "--w", "2"],
+                                     ["algebra", "--dim", "4"], ["design", "--verify"],
+                                     ["decompose", "--p", "a",
+                                      "--counts", "25,25,25,25,25,25,25,25"]])
+@pytest.mark.parametrize("flag", [["--seed", "3"], ["--threads", "2"]])
+def test_seed_and_threads_belong_to_power_only(capsys, command, flag):
+    code, out, err = invoke(capsys, *command, *flag)
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments" in err
+
+
 def test_power_requires_probabilities(capsys):
     code, _, err = invoke(capsys, "power", "--alt", "t:2")
     assert code == 1
@@ -231,6 +272,21 @@ def _malformed_matrix_rejected(capsys, tmp_path, entries):
         assert err.startswith("latinhadamard: error:") and err.count("\n") == 1
 
 
+def test_unreadable_matrix_sources_rejected(capsys, tmp_path):
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b"[[1, 2], [2, \xe9]]")
+    too_deep = tmp_path / "deep.json"
+    too_deep.write_text("[" * 100000 + "]" * 100000)
+    for source in ("a\x00b", str(not_utf8), str(too_deep)):
+        for argv in (["decompose", "--p", "a", "--counts", "25,25,25,25,25,25,25,25",
+                      "--matrix", source],
+                     ["algebra", "--from-coloring", source]):
+            code, out, err = invoke(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("latinhadamard: error: cannot read matrix file")
+            assert err.count("\n") == 1
+
+
 def _canonical_entries():
     return canonical_signed_square_8().signed_entries().tolist()
 
@@ -289,6 +345,105 @@ def test_output_bytes_pinned(capsys, name):
     code, out, _ = invoke(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of the 16 outputs for builtin:0..15, concatenated, recorded
+# while builtin:<i> still enumerated and checked all 16 colorings.
+BUILTIN_PINS = {
+    "decompose": ("decompose --p b --counts 10,20,30,40,40,30,20,10 --matrix builtin:{}",
+                  "618b0c306239f813f4eca0d59dc3b242cdf2235fe80f4bc0de86b9962ab00098"),
+    "algebra": ("algebra --from-coloring builtin:{} --report table --format json",
+                "e765cb2117145ebbf1dfe9a857dee3b41620e71452bf6466646c0e62498af510"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_PINS))
+def test_builtin_outputs_pinned(capsys, name):
+    argv, digest = BUILTIN_PINS[name]
+    outputs = []
+    for i in range(16):
+        code, out, _ = invoke(capsys, *argv.format(i).split())
+        assert code == 0
+        outputs.append(out)
+    assert hashlib.sha256("".join(outputs).encode()).hexdigest() == digest
+
+
+def test_builtin_index_is_the_oracle_survivor_with_that_index():
+    survivors = [H for H in enumerate_colorings(construct_latin_square(3))
+                 if gram_is_latin_hadamard(H)]
+    assert len(survivors) == 16
+    for i, H in enumerate(survivors):
+        assert cli._load_matrix(f"builtin:{i}") == H
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("builtin:16", "builtin index must be 0..15, got 16"),
+    ("builtin:-1", "builtin index must be 0..15, got -1"),
+    ("builtin:x", "bad builtin matrix index 'x'"),
+])
+def test_builtin_index_errors(capsys, spec, message):
+    for argv in (["decompose", "--p", "a", "--counts", "25,25,25,25,25,25,25,25",
+                  "--matrix", spec],
+                 ["algebra", "--from-coloring", spec],
+                 ["power", "--alt", "t:2", "--preset", "a", "--reps", "10",
+                  "--matrix", spec]):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out, err) == (1, "", f"latinhadamard: error: {message}\n")
+
+
+def _assert_decompose_answers(spec):
+    """decompose --matrix <spec> exits 0 with a partition, or 1 with one line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # --matrix=<spec>, so that a spec starting with "-" is not read as a flag
+        code = run(["decompose", "--p", "b", "--counts", "10,20,30,40,40,30,20,10",
+                    f"--matrix={spec}"])
+    if code == 0:
+        assert json.loads(out.getvalue())["sum_check"] == pytest.approx(0, abs=1e-9)
+    else:
+        assert (code, out.getvalue()) == (1, "")
+        assert err.getvalue().startswith("latinhadamard: error:")
+        assert err.getvalue().count("\n") == 1
+
+
+_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=9) | st.dictionaries(st.text(max_size=3), inner),
+    max_leaves=30)
+_MATRIX_LIKE = st.lists(st.lists(st.integers(-9, 9) | st.floats(-9, 9), min_size=1,
+                                 max_size=9), min_size=1, max_size=9)
+
+
+def _edited_builtin(index_and_edits):
+    """A builtin matrix's entries with a few cells overwritten."""
+    index, edits = index_and_edits
+    entries = cli._load_matrix(f"builtin:{index}").signed_entries().tolist()
+    for i, j, value in edits:
+        entries[i][j] = value
+    return entries
+
+
+_NEAR_VALID = st.tuples(st.integers(0, 15),
+                        st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7),
+                                           st.integers(-9, 9)), max_size=3)
+                        ).map(_edited_builtin)
+
+
+@_PROPERTY
+@given(spec=st.one_of(st.text(), st.integers().map(lambda i: f"builtin:{i}"),
+                      st.text().map(lambda t: f"builtin:{t}")))
+def test_decompose_matrix_spec_text_never_raises(spec):
+    _assert_decompose_answers(spec)
+
+
+@_PROPERTY
+@given(payload=st.one_of(_JSON, _MATRIX_LIKE, _NEAR_VALID, _NEAR_VALID.map(lambda m: {"H": m})))
+def test_decompose_matrix_file_never_raises(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "matrix.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        _assert_decompose_answers(str(path))
 
 
 def test_installed_entry_point_runs():

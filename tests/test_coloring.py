@@ -1,3 +1,4 @@
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -12,7 +13,8 @@ from latinhadamard.errors import SizeError
 from latinhadamard.latin import LatinSquare
 
 from coloring_oracle import propagate_signs
-from gram_oracle import gram_is_latin_hadamard, pair_coefficients, symbolic_gram
+from gram_oracle import (gram_is_latin_hadamard, gram_pairs_orthogonal, pair_coefficients,
+                         symbolic_gram)
 from reference_tables import (SIGNED_SQUARE_8, VALID_SIGNED_SQUARES_4,
                               VALID_SIGNED_SQUARES_8)
 
@@ -182,6 +184,19 @@ def test_partial_orthogonality_matches_gram_oracle():
             set(combinations(range(1, 17), 2)) - nonzero)
 
 
+def test_gram_oracle_column_verdict_equals_row_verdict():
+    # is_latin_hadamard checks columns only: each column holds each
+    # symbol once, so H^T H = (sum x_a^2) I, which forces H H^T to match.
+    # The oracle checks the claim on every candidate without the kernel.
+    verdicts = []
+    for w in (2, 3, 4):
+        for H in enumerate_colorings(construct_latin_square(w)):
+            columns = gram_pairs_orthogonal(H)
+            assert columns == gram_pairs_orthogonal(H, rows=True), H
+            verdicts.append(columns)
+    assert len(verdicts) == 2066 and sum(verdicts) == 18
+
+
 def test_latin_square_without_corner_property_is_not_hadamard():
     cyclic = LatinSquare(2, [[1, 2, 3, 4], [2, 3, 4, 1],
                              [3, 4, 1, 2], [4, 1, 2, 3]])
@@ -200,11 +215,16 @@ def test_from_signed_entries_rejects_malformed_matrices():
     good = [[1, 2], [2, -1]]
     assert SignedLatinSquare.from_signed_entries([[1.0, 2.0], [2.0, -1.0]]) == \
         SignedLatinSquare.from_signed_entries(good)
-    for bad in ([[1, 2], [2]], [[1, "2"], [2, -1]], [[1, 2], [2, None]],
-                [[1, 2.5], [2, -1]], [[1, 2], [2, float("nan")]],
-                [[1, 2], [1, -2]], [[1, 3], [3, -1]]):
-        with pytest.raises(ValidationError):
-            SignedLatinSquare.from_signed_entries(bad)
+    # 1e300 is integral but beyond int64: its magnitude must be rejected
+    # before the cast, which would warn and wrap.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in ([[1, 2], [2]], [[1, "2"], [2, -1]], [[1, 2], [2, None]],
+                    [[1, 2.5], [2, -1]], [[1, 2], [2, float("nan")]],
+                    [[1, 2], [1, -2]], [[1, 3], [3, -1]],
+                    [[1, 2], [2, 1e300]], [[1, 2], [2, -1e300]], [[1, 2], [2, 2 ** 63]]):
+            with pytest.raises(ValidationError):
+                SignedLatinSquare.from_signed_entries(bad)
 
 
 def test_signed_square_invariant_validation():

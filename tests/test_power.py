@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from latinhadamard import (DistributionSpec, PowerSimConfig, ProbabilityVector,
-                           SizeError, ValidationError,
+                           SignedLatinSquare, SizeError, ValidationError,
                            alternate_signed_square_8, bin_edges,
                            chi_square_critical, color, construct_latin_square,
                            matched_normal_null, normal_critical,
@@ -263,6 +263,18 @@ class TestSimulation:
         cfg = self.config(matrix=alternate_signed_square_8(), reps=400)
         result = simulate_power(cfg)
         assert result.reps == 400
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValidationError):
+            simulate_power(self.config(reps=10), threads=threads)
+
+    def test_matrix_is_checked_for_orthogonality(self):
+        entries = alternate_signed_square_8().signed_entries()
+        entries[1, 2] = -entries[1, 2]
+        cfg = self.config(matrix=SignedLatinSquare.from_signed_entries(entries), reps=10)
+        with pytest.raises(ValidationError):
+            cfg.resolve_basis()
 
     def test_size_guard(self):
         with pytest.raises(SizeError):
