@@ -1,12 +1,13 @@
 """Doubling algebras, zero-divisor scanning, and Radon's function.
 
 Each algebra is given by its basis multiplication table: e_i * e_j is a
-signed basis element.  Tables come either from the classical doubling
-construction (complex numbers, quaternions, octonions, sedenions, ...)
-or from a signed Latin square, whose entries are read directly as the
-signed products.  Zero divisors of the form (e_i +/- e_j)(e_k +/- e_l),
-which for dimension up to 16 are the only kind, are read off the exact
-sign product of each AB-BA quad of the table.
+signed basis element.  Every table is read from a signed Latin square,
+whose entries are the signed products; the classical doubling algebras
+(complex numbers, quaternions, octonions, sedenions, ...) are the
+all-plus colorings of the structured square.  Zero divisors of the form
+(e_i +/- e_j)(e_k +/- e_l), which for dimension up to 16 are the only
+kind, are read off the exact sign product of each AB-BA quad of the
+table.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import SignedLatinSquare
+from .coloring import SignedLatinSquare, color, num_free_choices
 from .errors import ValidationError
-from .latin import LatinSquare, quad_sign_products
+from .latin import construct_latin_square, quad_sign_products
 
 __all__ = ["AlgebraTable", "ZeroDivisorPair", "cayley_dickson_table",
            "table_from_signed_square", "find_zero_divisors", "radon"]
@@ -27,31 +28,24 @@ class AlgebraTable:
     """Basis multiplication table: e_i * e_j = signs[i,j] * e_{indices[i,j]}.
 
     1-based basis labels; e_1 is the unit and every other basis element
-    squares to -e_1.  The unsigned table is a LatinSquare, which has
-    already checked the Latin property; indices is its entries array.
+    squares to -e_1.  Indices and signs are those of the signed square,
+    which has already checked the Latin property and the signs of the
+    first row, first column and diagonal; only the symbols are checked
+    here.
     """
 
     __slots__ = ("dim", "signs", "indices")
 
-    def __init__(self, signs: np.ndarray, square: LatinSquare):
-        signs = np.asarray(signs, dtype=np.int64)
-        indices = square.entries
-        dim = square.n
-        if signs.shape != (dim, dim):
-            raise ValidationError(f"sign table must be {dim}x{dim}, got {signs.shape}")
-        if not (np.abs(signs) == 1).all():
-            raise ValidationError("table signs must be +1 or -1")
+    def __init__(self, signed: SignedLatinSquare):
+        indices = signed.square.entries
+        dim = signed.n
         symbols = np.arange(1, dim + 1)
-        if not ((indices[0] == symbols).all() and (signs[0] == 1).all()
-                and (indices[:, 0] == symbols).all() and (signs[:, 0] == 1).all()):
+        if not ((indices[0] == symbols).all() and (indices[:, 0] == symbols).all()):
             raise ValidationError("e_1 must act as a two-sided unit")
-        if dim > 1 and not ((np.diag(indices)[1:] == 1).all()
-                            and (np.diag(signs)[1:] == -1).all()):
+        if not (np.diag(indices)[1:] == 1).all():
             raise ValidationError("non-unit basis elements must square to -e_1")
-        signs = signs.copy()
-        signs.setflags(write=False)
         self.dim = dim
-        self.signs = signs
+        self.signs = signed.signs
         self.indices = indices
 
     def multiply(self, a, b) -> np.ndarray:
@@ -103,33 +97,17 @@ def cayley_dickson_table(m: int) -> AlgebraTable:
     with conjugation negating every non-unit coordinate.  This sign
     convention reproduces the usual quaternion relations ij = k, ji = -k.
     """
-    if m < 0 or int(m) != m:
-        raise ValidationError(f"dimension exponent must be a non-negative integer, got {m!r}")
     if m > 5:
         raise ValidationError("tables above dimension 32 are not supported")
-    signs = np.array([[1]], dtype=np.int64)
-    indices = np.array([[1]], dtype=np.int64)
-    for _ in range(int(m)):
-        h = signs.shape[0]
-        conj = np.full(h, -1, dtype=np.int64)
-        conj[0] = 1
-        # Quadrants, left factor by row, right factor by column:
-        #   (a,0)(c,0) = (ac, 0)      (a,0)(0,d) = (0, da)
-        #   (0,b)(c,0) = (0, b conj(c))   (0,b)(0,d) = (-conj(d) b, 0)
-        signs = np.block([
-            [signs, signs.T],
-            [signs * conj[None, :], -(signs.T * conj[None, :])],
-        ])
-        indices = np.block([
-            [indices, indices.T + h],
-            [indices + h, indices.T],
-        ])
-    return AlgebraTable(signs, LatinSquare(m, indices))
+    # The all-plus sign doubling of the structured square is this rule:
+    # the quadrant-by-quadrant oracle in the tests gives the same table.
+    square = construct_latin_square(m)
+    return AlgebraTable(color(square, (1,) * num_free_choices(square.w)))
 
 
 def table_from_signed_square(H: SignedLatinSquare) -> AlgebraTable:
     """Read a signed Latin square as a basis multiplication table."""
-    return AlgebraTable(H.signs, H.square)
+    return AlgebraTable(H)
 
 
 def find_zero_divisors(table: AlgebraTable):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coloring import SignedLatinSquare, is_latin_hadamard
+from .coloring import SignedLatinSquare, color, is_latin_hadamard
 from .errors import InternalConsistencyError, ValidationError
 from .latin import construct_latin_square
 
@@ -34,6 +34,7 @@ __all__ = [
 PROBABILITY_SUM_TOL = 1e-12
 ORTHONORMALITY_TOL = 1e-12
 PARTITION_REL_TOL = 1e-10
+_INTERLACING_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,18 +115,17 @@ class Eigenbasis:
 
     __slots__ = ("matrix", "p")
 
-    def __init__(self, matrix: np.ndarray, p: ProbabilityVector,
-                 tol: float = ORTHONORMALITY_TOL):
+    def __init__(self, matrix: np.ndarray, p: ProbabilityVector):
         O = np.asarray(matrix, dtype=float)
         k = p.k
         if O.shape != (k, k):
             raise ValidationError(f"matrix must be {k}x{k}, got {O.shape}")
         gram_err = np.abs(O.T @ O - np.eye(k)).max()
-        if gram_err > tol:
+        if gram_err > ORTHONORMALITY_TOL:
             raise ValidationError(
                 f"columns are not orthonormal (max Gram deviation {gram_err:.2e})")
         col_err = np.abs(O[:, 0] - p.sqrt()).max()
-        if col_err > tol:
+        if col_err > ORTHONORMALITY_TOL:
             raise ValidationError(
                 f"first column must be sqrt(p) (max deviation {col_err:.2e})")
         O = O.copy()
@@ -219,8 +219,7 @@ def eigenbasis_from_sign_matrix(signs: np.ndarray,
     return Eigenbasis(signs / math.sqrt(p.k), p)
 
 
-def decompose(m: CellCounts, p: ProbabilityVector, basis: Eigenbasis,
-              rel_tol: float = PARTITION_REL_TOL) -> Decomposition:
+def decompose(m: CellCounts, p: ProbabilityVector, basis: Eigenbasis) -> Decomposition:
     """Project scaled residuals onto the basis columns 2..k.
 
     The first-column term is omitted because it is identically zero
@@ -233,7 +232,7 @@ def decompose(m: CellCounts, p: ProbabilityVector, basis: Eigenbasis,
     y = scaled_residuals(m, p)
     components = basis.component_vectors().T @ y
     x2 = pearson_x2(m, p)
-    if abs(x2 - np.square(components).sum()) > rel_tol * max(1.0, x2):
+    if abs(x2 - np.square(components).sum()) > PARTITION_REL_TOL * max(1.0, x2):
         raise InternalConsistencyError(
             "component squares do not reproduce the Pearson statistic")
     return Decomposition(components=components, x2=x2)
@@ -246,7 +245,6 @@ def canonical_signed_square_8() -> SignedLatinSquare:
     reports by default; column 8 is a clean location contrast and
     column 6 an opposite-tails contrast.  Choice vector (-,-,+,-).
     """
-    from .coloring import color
     return color(construct_latin_square(3), (-1, -1, 1, -1))
 
 
@@ -258,7 +256,6 @@ def alternate_signed_square_8() -> SignedLatinSquare:
     pair contrast each).  Both bases partition the Pearson statistic;
     the power-study reproduction needs both.  Choice vector (-,-,-,-).
     """
-    from .coloring import color
     return color(construct_latin_square(3), (-1, -1, -1, -1))
 
 
@@ -300,14 +297,14 @@ def component_formulas_t2_t6_t8(m: CellCounts, p: ProbabilityVector):
     return t2, t6, t8
 
 
-def eigen_interlacing_check(p: ProbabilityVector, tol: float = 1e-9) -> bool:
+def eigen_interlacing_check(p: ProbabilityVector) -> bool:
     """Nonzero eigenvalues of the covariance interlace the sorted cell
     probabilities: p_(1) <= lambda_1 <= p_(2) <= ... <= lambda_(k-1) <= p_(k)."""
     eigenvalues = np.linalg.eigvalsh(sigma(p))
     nonzero = eigenvalues[1:]
     sorted_p = np.sort(p.p)
-    lower = sorted_p[:-1] - tol
-    upper = sorted_p[1:] + tol
+    lower = sorted_p[:-1] - _INTERLACING_TOL
+    upper = sorted_p[1:] + _INTERLACING_TOL
     return bool(((nonzero >= lower) & (nonzero <= upper)).all())
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chisq import Eigenbasis, ProbabilityVector
+from .chisq import PROBABILITY_SUM_TOL, Eigenbasis, ProbabilityVector
 from .coloring import SignedLatinSquare, color
 from .errors import ValidationError
 from .latin import construct_latin_square, quad_sign_products
@@ -95,8 +95,7 @@ def verify_design(design: OrthogonalDesign) -> bool:
     return not acc.any()
 
 
-def design_to_eigenbasis(design: OrthogonalDesign, p_vars,
-                         tol: float = 1e-12) -> Eigenbasis:
+def design_to_eigenbasis(design: OrthogonalDesign, p_vars) -> Eigenbasis:
     """Substitute x_i <- sqrt(p_vars_i) and transpose into an eigenbasis.
 
     The variable probabilities must be strictly positive and satisfy
@@ -110,7 +109,7 @@ def design_to_eigenbasis(design: OrthogonalDesign, p_vars,
     if not (values > 0).all():
         raise ValidationError("variable probabilities must be strictly positive")
     norm = float(np.dot(design.type, values))
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > PROBABILITY_SUM_TOL:
         raise ValidationError(
             f"type-weighted sum of variable probabilities must be 1 (got {norm!r})")
     A = design.entries

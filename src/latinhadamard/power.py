@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -136,60 +137,11 @@ class DistributionSpec:
         return f"{self.family}:" + ",".join(repr(v) for v in self.params)
 
 
-# Rational minimax approximation to the standard normal quantile
-# (Wichura's PPND16 scheme; absolute error well below 1e-9).
-_PPND_A = (3.3871328727963666080e0, 1.3314166789178437745e2,
-           1.9715909503065514427e3, 1.3731693765509461125e4,
-           4.5921953931549871457e4, 6.7265770927008700853e4,
-           3.3430575583588128105e4, 2.5090809287301226727e3)
-_PPND_B = (4.2313330701600911252e1, 6.8718700749205790830e2,
-           5.3941960214247511077e3, 2.1213794301586595867e4,
-           3.9307895800092710610e4, 2.8729085735721942674e4,
-           5.2264952788528545610e3)
-_PPND_C = (1.42343711074968357734e0, 4.63033784615654529590e0,
-           5.76949722146069140550e0, 3.64784832476320460504e0,
-           1.27045825245236838258e0, 2.41780725177450611770e-1,
-           2.27238449892691845833e-2, 7.74545014278341407640e-4)
-_PPND_D = (2.05319162663775882187e0, 1.67638483018380384940e0,
-           6.89767334985100004550e-1, 1.48103976427480074590e-1,
-           1.51986665636164571966e-2, 5.47593808499534494600e-4,
-           1.05075007164441684324e-9)
-_PPND_E = (6.65790464350110377720e0, 5.46378491116411436990e0,
-           1.78482653991729133580e0, 2.96560571828504891230e-1,
-           2.65321895265761230930e-2, 1.24266094738807843860e-3,
-           2.71155556874348757815e-5, 2.01033439929228813265e-7)
-_PPND_F = (5.99832206555887937690e-1, 1.36929880922735805310e-1,
-           1.48753612908506148525e-2, 7.86869131145613259100e-4,
-           1.84631831751005468180e-5, 1.42151175831644588870e-7,
-           2.04426310338993978564e-15)
-
-
-def _rational(r: float, num: tuple, den: tuple) -> float:
-    p = num[-1]
-    for coeff in reversed(num[:-1]):
-        p = p * r + coeff
-    q = den[-1]
-    for coeff in reversed(den[:-1]):
-        q = q * r + coeff
-    q = q * r + 1.0
-    return p / q
-
-
 def normal_quantile(q: float) -> float:
-    """Standard normal inverse CDF, accurate to well below 1e-9."""
+    """Standard normal inverse CDF (Wichura's AS241), accurate to well below 1e-9."""
     if not 0.0 < q < 1.0:
         raise ValidationError("quantile argument must be strictly inside (0, 1)")
-    u = q - 0.5
-    if abs(u) <= 0.425:
-        r = 0.180625 - u * u
-        return u * _rational(r, _PPND_A, _PPND_B)
-    r = q if u < 0 else 1.0 - q
-    r = math.sqrt(-math.log(r))
-    if r <= 5.0:
-        value = _rational(r - 1.6, _PPND_C, _PPND_D)
-    else:
-        value = _rational(r - 5.0, _PPND_E, _PPND_F)
-    return -value if u < 0 else value
+    return statistics.NormalDist().inv_cdf(q)
 
 
 def normal_critical(alpha: float) -> float:

@@ -3,13 +3,15 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from latinhadamard import (SignedLatinSquare, ValidationError,
+from latinhadamard import (SignedLatinSquare, ValidationError, builtin_design_16,
                            cayley_dickson_table, color, construct_latin_square,
                            enumerate_colorings, find_zero_divisors,
-                           is_latin_hadamard, radon, table_from_signed_square)
+                           is_latin_hadamard, num_free_choices, radon,
+                           table_from_signed_square)
 from latinhadamard.algebra import AlgebraTable, ZeroDivisorPair
 from latinhadamard.latin import LatinSquare
 
+from cayley_dickson_oracle import doubling_table
 from reference_tables import QUATERNION_TABLE, SIGNED_SQUARE_8
 
 
@@ -190,11 +192,58 @@ def test_radon_rejects_bad_input():
 
 def test_table_validation():
     with pytest.raises(ValidationError):
-        AlgebraTable(np.ones((2, 2), dtype=int),
-                     LatinSquare(1, [[1, 1], [2, 2]]))  # not Latin
+        AlgebraTable(SignedLatinSquare(LatinSquare(1, [[1, 1], [2, 2]]),
+                                       np.ones((2, 2), dtype=int)))  # not Latin
     with pytest.raises(ValidationError):
-        AlgebraTable(np.array([[1, 1], [1, 1]]),
-                     LatinSquare(1, [[1, 2], [2, 1]]))  # e_2^2 != -e_1
+        AlgebraTable(SignedLatinSquare(LatinSquare(1, [[1, 2], [2, 1]]),
+                                       np.ones((2, 2), dtype=int)))  # e_2^2 != -e_1
+    H = color(construct_latin_square(2), (1,))
+    table = AlgebraTable(H)
+    assert table.dim == 4
+    assert table.signs is H.signs and table.indices is H.square.entries
+    assert not table.signs.flags.writeable
 
     zd = ZeroDivisorPair(i=2, j=3, s1=-1, k=4, l=5, s2=1)
     assert str(zd) == "(e_2 - e_3)(e_4 + e_5) = 0"
+
+
+def test_table_checks_its_symbols():
+    # admissible signs, so only the table's own symbol checks catch these
+    swap = np.array([0, 1, 3, 2, 4, 5, 6, 7, 8])  # symbols 2 and 3 swapped
+    relabelled = np.sign(SIGNED_SQUARE_8) * swap[np.abs(SIGNED_SQUARE_8)]
+    with pytest.raises(ValidationError, match="e_1 must act as a two-sided unit"):
+        AlgebraTable(SignedLatinSquare.from_signed_entries(relabelled))
+    cyclic = [[1, 2, 3, 4], [2, -3, 4, 1], [3, 4, -1, 2], [4, 1, 2, -3]]
+    with pytest.raises(ValidationError, match="must square to -e_1"):
+        AlgebraTable(SignedLatinSquare.from_signed_entries(cyclic))
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_doubling_table_equals_quadrant_oracle(m):
+    signs, indices = doubling_table(m)
+    table = cayley_dickson_table(m)
+    assert np.array_equal(table.signs, signs)
+    assert np.array_equal(table.indices, indices)
+
+
+@pytest.mark.parametrize("w", (6, 7, 8))
+def test_all_plus_coloring_equals_quadrant_oracle(w):
+    # above dimension 32 cayley_dickson_table refuses, so compare color
+    H = color(construct_latin_square(w), (1,) * num_free_choices(w))
+    signs, indices = doubling_table(w)
+    assert np.array_equal(H.signs, signs)
+    assert np.array_equal(H.square.entries, indices)
+
+
+def test_builtin_design_is_the_sedenion_table():
+    # the design ties symbols to variables; its signed square is the table
+    assert table_from_signed_square(builtin_design_16().signed) == cayley_dickson_table(4)
+
+
+@pytest.mark.parametrize("m, message", [(-1, "non-negative integer"),
+                                        (2.5, "non-negative integer"),
+                                        (6, "above dimension 32"),
+                                        (6.5, "above dimension 32")])
+def test_doubling_rejects_bad_exponents(m, message):
+    with pytest.raises(ValidationError, match=message):
+        cayley_dickson_table(m)

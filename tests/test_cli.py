@@ -20,6 +20,7 @@ from latinhadamard.cli import run
 from latinhadamard.power import BLOCK_DRAWS, MAX_REPS
 
 from gram_oracle import gram_is_latin_hadamard
+from reference_tables import SIGNED_SQUARE_8
 
 
 def invoke(capsys, *argv):
@@ -313,6 +314,21 @@ def test_non_latin_matrix_file_rejected(capsys, tmp_path):
     entries = _canonical_entries()
     entries[5][6] = entries[5][7]
     _malformed_matrix_rejected(capsys, tmp_path, entries)
+
+
+def test_relabelled_tables_rejected_by_algebra(capsys, tmp_path):
+    # admissible signs, so only the table's own symbol checks catch these
+    swap = np.array([0, 1, 3, 2, 4, 5, 6, 7, 8])
+    relabelled = np.sign(SIGNED_SQUARE_8) * swap[np.abs(SIGNED_SQUARE_8)]
+    cyclic = [[1, 2, 3, 4], [2, -3, 4, 1], [3, 4, -1, 2], [4, 1, 2, -3]]
+    for entries, message in ((relabelled.tolist(), "e_1 must act as a two-sided unit"),
+                             (cyclic, "must square to -e_1")):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(entries))
+        code, out, err = invoke(capsys, "algebra", "--from-coloring", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("latinhadamard: error:") and message in err
+        assert err.count("\n") == 1
 
 
 # SHA-256 of the JSON output recorded before the zero-divisor scan and the
