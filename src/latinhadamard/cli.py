@@ -9,7 +9,6 @@ humans only.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -250,8 +249,6 @@ def _cmd_power(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Parsing leaves the parser unchanged, so one tree serves every call.
-@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="latinhadamard",
                      description="Signed Latin squares, chi-square components, "
