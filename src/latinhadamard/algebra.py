@@ -128,8 +128,8 @@ def find_zero_divisors(table: AlgebraTable):
     l = partner[i, j, k]
     keep = (i >= 1) & (j > i) & (k >= 1) & (l > k)
     i, j, k, l = i[keep], j[keep], k[keep], l[keep]
-    cross = G[j, k] * G[i, l]
-    for a, b, c, d, sign in zip(*(v.tolist() for v in (i + 1, j + 1, k + 1, l + 1, cross))):
+    hits = np.stack((i + 1, j + 1, k + 1, l + 1, G[j, k] * G[i, l]), axis=1)
+    for a, b, c, d, sign in hits.tolist():
         for s1 in (1, -1):
             yield ZeroDivisorPair(i=a, j=b, s1=s1, k=c, l=d, s2=-s1 * sign)
 

@@ -190,32 +190,32 @@ def enumerate_colorings(square: LatinSquare):
         yield color(square, choices_from_bitstring(bits))
 
 
-def _non_orthogonal_pairs(S: np.ndarray, G: np.ndarray):
-    """(k, l) column indices of every AB-BA quad that fails to close with
-    product -1; exactly these column pairs have a nonzero dot product."""
-    partner, closes, product = quad_sign_products(S, G)
-    i, j, k = np.nonzero(~closes | (product != -1))
-    off = i != j
-    return k[off], partner[i[off], j[off], k[off]]
-
-
 def is_latin_hadamard(H: SignedLatinSquare) -> bool:
     """True iff all columns and all rows are symbolically orthogonal.
 
-    Only the columns are checked.  Every column holds each symbol once,
-    so orthogonal columns give H^T H = (sum of x_a^2) I; a square matrix
-    with H^T H = cI, c nonzero, also has H H^T = cI, so the rows are
-    orthogonal too.
+    Only the columns are checked: every off-diagonal AB-BA quad must
+    close with sign product -1 (the diagonal always has product +1).
+    Every column holds each symbol once, so orthogonal columns give
+    H^T H = (sum of x_a^2) I; a square matrix with H^T H = cI, c
+    nonzero, also has H H^T = cI, so the rows are orthogonal too.
     """
-    return not _non_orthogonal_pairs(H.square.entries, H.signs)[0].size
+    _, closes, product = quad_sign_products(H.square.entries, H.signs)
+    n = H.n
+    return int(np.count_nonzero(closes & (product == -1))) == n * n * (n - 1)
 
 
 def partial_orthogonality_report(H: SignedLatinSquare) -> set:
-    """Unordered 1-based column pairs whose symbolic dot product vanishes."""
+    """Unordered 1-based column pairs whose symbolic dot product vanishes.
+
+    Exactly the column pairs (k, l) with an off-diagonal AB-BA quad that
+    fails to close with product -1 have a nonzero dot product.
+    """
     n = H.n
+    partner, closes, product = quad_sign_products(H.square.entries, H.signs)
+    i, j, k = np.nonzero(~closes | (product != -1))
+    off = i != j
+    k, l = k[off], partner[i[off], j[off], k[off]]
     failed = np.zeros((n, n), dtype=bool)
-    k, l = _non_orthogonal_pairs(H.square.entries, H.signs)
     failed[k, l] = failed[l, k] = True
     k, l = np.nonzero(np.triu(~failed, 1))
     return set(zip((k + 1).tolist(), (l + 1).tolist()))
-

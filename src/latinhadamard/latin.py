@@ -16,10 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalConsistencyError, ValidationError
+from .errors import InternalConsistencyError, SizeError, ValidationError
 
 __all__ = ["LatinSquare", "CornerQuad", "construct_latin_square",
            "quad_sign_products", "enumerate_abba_quads"]
+
+# Largest square the quad kernel closes: n = 2**7, the census ceiling.
+QUAD_MAX_N = 128
 
 
 class LatinSquare:
@@ -97,6 +100,30 @@ def construct_latin_square(w: int) -> LatinSquare:
     return LatinSquare(w, block)
 
 
+@functools.lru_cache(maxsize=4)
+def _quad_frame(symbol_bytes: bytes, n: int):
+    """Symbol-only part of the quad kernel for one n x n square.
+
+    Returns (partner, closes, flat), each n x n x n and read-only:
+    partner[i, j, k] is the column where row j holds S[i, k], closes
+    tells whether S[i, partner] == S[j, k], and flat is the index of
+    (i, j, partner) in a C-ordered n x n x n array.  Cached on the
+    symbols, so squares that share their symbols share one frame.
+    """
+    S = np.frombuffer(symbol_bytes, dtype=np.int64).reshape(n, n)
+    rows = np.arange(n)
+    position = np.empty((n, n + 1), dtype=np.int64)
+    position[rows[:, None], S] = rows[None, :]
+    i = rows[:, None, None]
+    j = rows[None, :, None]
+    partner = position[j, S[:, None, :]]
+    closes = S[i, partner] == S[j, rows]
+    flat = (i * n + j) * n + partner
+    for arr in (partner, closes, flat):
+        arr.setflags(write=False)
+    return partner, closes, flat
+
+
 def quad_sign_products(symbols, signs):
     """Close every AB-BA quad of a Latin square and multiply its signs.
 
@@ -106,6 +133,10 @@ def quad_sign_products(symbols, signs):
     signs[i, k] * signs[i, l] * signs[j, k] * signs[j, l].  Returns the
     three n x n x n arrays (partner, closes, product), indexed [i, j, k];
     the diagonal i == j is the degenerate quad l == k with product +1.
+    partner and closes depend on the symbols only: they come read-only
+    from a small cache, so a repeat call on the same square pays only
+    for the sign gather.  Squares above QUAD_MAX_N raise SizeError,
+    since a first call holds about 41 n**3 bytes.
 
     Columns k and l are symbolically orthogonal exactly when every
     quad through them closes with product -1; a closed quad with
@@ -116,14 +147,13 @@ def quad_sign_products(symbols, signs):
     S = np.asarray(symbols, dtype=np.int64)
     G = np.asarray(signs, dtype=np.int64)
     n = S.shape[0]
-    rows = np.arange(n)
-    position = np.empty((n, n + 1), dtype=np.int64)
-    position[rows[:, None], S] = rows[None, :]
-    i = rows[:, None, None]
-    j = rows[None, :, None]
-    partner = position[j, S[:, None, :]]
-    closes = S[i, partner] == S[j, rows]
-    product = G[i, rows] * G[i, partner] * G[j, rows] * G[j, partner]
+    if n > QUAD_MAX_N:
+        raise SizeError(f"the AB-BA quad kernel is limited to n <= {QUAD_MAX_N}, got n={n}")
+    partner, closes, flat = _quad_frame(S.tobytes(), n)
+    # R[i, j, k] = G[i, k] * G[j, k]; the quad multiplies it by R[i, j, l].
+    R = G[:, None, :] * G[None, :, :]
+    product = R.take(flat)
+    product *= R
     return partner, closes, product
 
 

@@ -316,6 +316,19 @@ def test_non_latin_matrix_file_rejected(capsys, tmp_path):
     _malformed_matrix_rejected(capsys, tmp_path, entries)
 
 
+def test_algebra_from_large_coloring_hits_size_guard(capsys, tmp_path):
+    # a valid 256x256 table, but its zero-divisor scan is above the kernel's guard
+    H = latinhadamard.color(construct_latin_square(8),
+                            (1,) * latinhadamard.num_free_choices(8))
+    path = tmp_path / "all_plus_256.json"
+    path.write_text(json.dumps(H.signed_entries().tolist()))
+    code, out, err = invoke(capsys, "algebra", "--from-coloring", str(path),
+                            "--report", "zero-divisors")
+    assert (code, out) == (1, "")
+    assert err.startswith("latinhadamard: error:") and "n <= 128" in err
+    assert err.count("\n") == 1
+
+
 def test_relabelled_tables_rejected_by_algebra(capsys, tmp_path):
     # admissible signs, so only the table's own symbol checks catch these
     swap = np.array([0, 1, 3, 2, 4, 5, 6, 7, 8])

@@ -91,6 +91,13 @@ def test_enumeration_size_guard():
         next(enumerate_colorings(construct_latin_square(5)))
 
 
+def test_orthogonality_check_size_guard():
+    # n = 256 is above the quad kernel's n <= 128 guard
+    H = color(construct_latin_square(8), (1,) * num_free_choices(8))
+    with pytest.raises(SizeError):
+        is_latin_hadamard(H)
+
+
 def test_survivor_sets_match_reference_lists():
     for w, reference in ((2, VALID_SIGNED_SQUARES_4), (3, VALID_SIGNED_SQUARES_8)):
         square = construct_latin_square(w)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from latinhadamard import (InternalConsistencyError, ValidationError,
+from latinhadamard import (InternalConsistencyError, SizeError, ValidationError,
                            construct_latin_square, enumerate_abba_quads,
                            quad_sign_products)
 from latinhadamard.latin import CornerQuad, LatinSquare
@@ -130,12 +130,25 @@ def test_latin_square_rejects_repeated_symbols():
         LatinSquare(1, [[1, 3], [3, 1]])
 
 
-@pytest.mark.parametrize("w", (1, 2, 3))
-def test_quad_kernel_matches_direct_evaluation(w):
-    S = construct_latin_square(w).entries
+def _rolled_square_8():
+    """The structured 8x8 square with its rows rotated: Latin, not symmetric."""
+    return np.roll(construct_latin_square(3).entries, 1, axis=0)
+
+
+KERNEL_SQUARES = {
+    "1": lambda: construct_latin_square(1).entries,
+    "2": lambda: construct_latin_square(2).entries,
+    "3": lambda: construct_latin_square(3).entries,
+    "4": lambda: construct_latin_square(4).entries,
+    # a non-contiguous view whose symbols differ from the untransposed square
+    "transposed": lambda: _rolled_square_8().T,
+    # cyclic: Latin, but most corners stay open
+    "cyclic": lambda: (np.add.outer(np.arange(8), np.arange(8)) % 8) + 1,
+}
+
+
+def _assert_kernel_matches(S, G, partner, closes, product):
     n = S.shape[0]
-    G = np.random.default_rng(w).choice((-1, 1), size=(n, n))
-    partner, closes, product = quad_sign_products(S, G)
     closed = set()
     for i in range(n):
         for j in range(n):
@@ -147,6 +160,47 @@ def test_quad_kernel_matches_direct_evaluation(w):
                 if i < j and k < l and closes[i, j, k]:
                     closed.add((i + 1, j + 1, k + 1, l + 1))
     assert closed == set(brute_force_quads(S))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SQUARES))
+def test_quad_kernel_matches_direct_evaluation(name):
+    S = KERNEL_SQUARES[name]()
+    n = S.shape[0]
+    G = np.random.default_rng(n).choice((-1, 1), size=(n, n))
+    _assert_kernel_matches(S, G, *quad_sign_products(S, G))
+
+
+def test_cyclic_square_has_open_corners():
+    _, closes, _ = quad_sign_products(KERNEL_SQUARES["cyclic"](), np.ones((8, 8)))
+    assert closes.any() and not closes.all()
+
+
+def test_quad_kernel_gives_each_sign_matrix_its_own_product():
+    # the symbol frame is shared between calls; the products must not be
+    S = construct_latin_square(3).entries
+    rng = np.random.default_rng(11)
+    G1, G2 = (rng.choice((-1, 1), size=(8, 8)) for _ in range(2))
+    first = quad_sign_products(S, G1)
+    second = quad_sign_products(S, G2)
+    assert not np.array_equal(first[2], second[2])
+    _assert_kernel_matches(S, G1, *first)
+    _assert_kernel_matches(S, G2, *second)
+
+
+def test_quad_frame_is_read_only():
+    partner, closes, product = quad_sign_products(construct_latin_square(2).entries,
+                                                  np.ones((4, 4)))
+    with pytest.raises(ValueError):
+        partner[0, 1, 2] = 0
+    with pytest.raises(ValueError):
+        closes[0, 1, 2] = False
+    product[0, 1, 2] = -1  # the sign gather is the caller's own array
+
+
+def test_quad_kernel_size_guard():
+    # rejected before anything n**3 is allocated
+    with pytest.raises(SizeError):
+        quad_sign_products(np.ones((256, 256), dtype=np.int64), np.ones((256, 256)))
 
 
 def test_quad_enumeration_single_at_w1():
