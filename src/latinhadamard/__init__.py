@@ -21,8 +21,8 @@ from .coloring import (SignedLatinSquare, choices_from_bitstring,
                        choices_to_bitstring, color, enumerate_colorings,
                        is_latin_hadamard, num_free_choices,
                        partial_orthogonality_report)
-from .design import (OrthogonalDesign, builtin_design_16, design_to_eigenbasis,
-                     verify_design)
+from .design import (DESIGN_16_CELL_VARIABLES, OrthogonalDesign, builtin_design_16,
+                     design_to_eigenbasis, verify_design)
 from .errors import InternalConsistencyError, SizeError, ValidationError
 from .latin import (CornerQuad, LatinSquare, construct_latin_square,
                     enumerate_abba_quads, quad_sign_products)

@@ -123,15 +123,18 @@ def find_zero_divisors(table: AlgebraTable):
     this form.
     """
     G = table.signs
-    partner, closes, product = quad_sign_products(table.indices, G)
-    i, j, k = np.nonzero(closes & (product == 1))
-    l = partner[i, j, k]
-    keep = (i >= 1) & (j > i) & (k >= 1) & (l > k)
-    i, j, k, l = i[keep], j[keep], k[keep], l[keep]
-    hits = np.stack((i + 1, j + 1, k + 1, l + 1, G[j, k] * G[i, l]), axis=1)
-    for a, b, c, d, sign in hits.tolist():
-        for s1 in (1, -1):
-            yield ZeroDivisorPair(i=a, j=b, s1=s1, k=c, l=d, s2=-s1 * sign)
+    quads, _, product = quad_sign_products(table.indices, G)
+    # i >= 1 and k >= 1 keep the unit out, since j > i and l > k.
+    hits = np.flatnonzero((product == 1) & (quads[:, 0] >= 1) & (quads[:, 2] >= 1))
+    # The first hit is converted on its own, so a caller that reads one
+    # zero divisor does not pay for converting them all.
+    for part in (hits[:1], hits[1:]):
+        found = quads[part]
+        i, j, k, l = found.T
+        for (a, b, c, d), sign in zip(found.tolist(), (G[j, k] * G[i, l]).tolist()):
+            for s1 in (1, -1):
+                yield ZeroDivisorPair(i=a + 1, j=b + 1, s1=s1, k=c + 1, l=d + 1,
+                                      s2=-s1 * sign)
 
 
 def radon(n: int) -> int:

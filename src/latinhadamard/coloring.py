@@ -16,6 +16,8 @@ at n = 16 is bit-exact.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import SizeError, ValidationError
@@ -29,6 +31,27 @@ __all__ = [
 ]
 
 EXHAUSTIVE_MAX_W = 4
+# Colorings doubled together by enumerate_colorings: 2**11 is all of w = 4.
+ENUMERATION_BLOCK = 2 ** 11
+# Signs of the 2 x 2 square, the first doubling, which has no choices.
+_FIRST_LEVEL = np.array([[1, 1], [1, -1]], dtype=np.int64)
+
+
+def _check_signs(sgn: np.ndarray, shape: tuple[int, ...]) -> None:
+    """Shape, +/-1 entries, positive first row and column, negative diagonal.
+
+    sgn is one n x n sign matrix or a stack of them along a leading axis.
+    """
+    if sgn.shape != shape:
+        raise ValidationError(f"sign matrix must be {'x'.join(map(str, shape))}, "
+                              f"got {sgn.shape}")
+    if not (np.abs(sgn) == 1).all():
+        raise ValidationError("sign matrix entries must be +1 or -1")
+    if not (sgn[..., 0, :] == 1).all() or not (sgn[..., :, 0] == 1).all():
+        raise ValidationError("first row and first column must be positive")
+    n = shape[-1]
+    if not (sgn.reshape(shape[:-2] + (n * n,))[..., n + 1::n + 1] == -1).all():
+        raise ValidationError("diagonal entries below row one must be negative")
 
 
 class SignedLatinSquare:
@@ -46,19 +69,28 @@ class SignedLatinSquare:
                  choices: tuple[int, ...] | None = None):
         n = square.n
         sgn = np.asarray(signs, dtype=np.int64)
-        if sgn.shape != (n, n):
-            raise ValidationError(f"sign matrix must be {n}x{n}, got {sgn.shape}")
-        if not (np.abs(sgn) == 1).all():
-            raise ValidationError("sign matrix entries must be +1 or -1")
-        if not (sgn[0] == 1).all() or not (sgn[:, 0] == 1).all():
-            raise ValidationError("first row and first column must be positive")
-        if n > 1 and not (np.diag(sgn)[1:] == -1).all():
-            raise ValidationError("diagonal entries below row one must be negative")
+        _check_signs(sgn, (n, n))
         sgn = sgn.copy()
         sgn.setflags(write=False)
         self.square = square
         self.signs = sgn
         self.choices = None if choices is None else tuple(int(c) for c in choices)
+
+    @classmethod
+    def _checked_block(cls, square: LatinSquare, signs: np.ndarray, choices):
+        """One signed square per (signs[c], choices[c]), signs checked once.
+
+        signs is an (m, n, n) int64 block; the squares share its memory
+        read-only and take the choice tuples as given.
+        """
+        _check_signs(signs, (len(choices), square.n, square.n))
+        signs.setflags(write=False)
+        out = []
+        for sgn, chosen in zip(signs, choices):
+            H = cls.__new__(cls)
+            H.square, H.signs, H.choices = square, sgn, chosen
+            out.append(H)
+        return out
 
     @property
     def n(self) -> int:
@@ -130,20 +162,67 @@ def choices_to_bitstring(choices) -> str:
     return "".join("0" if c == 1 else "1" for c in choices)
 
 
+@functools.lru_cache(maxsize=8)
+def _doubling_plan(w: int):
+    """Gather indices of the sign doubling levels h = 2, 4, ..., 2**(w-1).
+
+    Per level: sel picks v = (1, the level's h - 1 choices) from a row
+    (1, choices...), sel[x] picks v[x] for x = S[:h, :h] - 1, and
+    x * n + j is the flat index of G[x, j] in an n x n sign matrix.
+    """
+    S = construct_latin_square(w).entries
+    n = S.shape[0]
+    plan = []
+    pos = 1
+    for level in range(1, w):
+        h = 2 ** level
+        sel = np.concatenate(([0], np.arange(pos, pos + h - 1)))
+        pos += h - 1
+        x = S[:h, :h] - 1
+        plan.append((h, sel, sel[x], x * n + np.arange(h)))
+    return plan
+
+
+def _double_signs(w: int, choices: np.ndarray) -> np.ndarray:
+    """Sign doubling of the structured 2**w square for a batch of choices.
+
+    choices is an (m, 1 + b) int64 array, one row (1, choices...) per
+    coloring with its b free +/-1 choices; returns the (m, n, n) int64
+    signs.  The level that doubles h to 2h consumes the next h - 1
+    choices as v = (1, choices...), the new block column above the
+    diagonal (v[i] = G[i, h]).  Row h + a of the lower-left block
+    closes each AB-BA quad through column h against its partner row
+    x = S[a, j] - 1, giving L[a, j] = v[a] * v[x] * G[x, j]; the
+    upper-right block is antisymmetric to it (U = -L^T, first row +1)
+    and the lower-right block closes the quads against both
+    (-G * U * L).  The first level has no choices and always gives
+    [[1, 1], [1, -1]].  Exact integer arithmetic; each sign is written
+    once.
+    """
+    m, n = choices.shape[0], 2 ** w
+    G = np.empty((m, n, n), dtype=np.int64)
+    flat = G.reshape(m, n * n)
+    G[:, :2, :2] = _FIRST_LEVEL[:n, :n]
+    for h, sel, sel_x, flat_x in _doubling_plan(w):
+        L = choices[:, sel, None] * choices[:, sel_x]
+        L *= flat[:, flat_x]
+        U = -L.transpose(0, 2, 1)
+        U[:, 0] = 1
+        R = G[:, :h, :h] * U
+        R *= L
+        G[:, h:2 * h, :h] = L
+        G[:, :h, h:2 * h] = U
+        np.negative(R, out=G[:, h:2 * h, h:2 * h])
+    return G
+
+
 def color(square: LatinSquare, choices) -> SignedLatinSquare:
     """Color the structured square from a vector of free +/-1 choices.
 
-    The signs are built by block doubling from G = [[1]].  The level
-    that doubles h to 2h consumes the next h - 1 choices as
-    v = (1, choices...), the new block column above the diagonal
-    (v[i] = G[i, h]).  Row h + a of the lower-left block closes each
-    AB-BA quad through column h against its partner row x = S[a, j] - 1,
-    giving L[a, j] = v[a] * v[x] * G[x, j]; the upper-right block is
-    antisymmetric to it (U = -L^T, first row +1) and the lower-right
-    block closes the quads against both (-G * U * L).  Choices are thus
+    The signs are built by block doubling from G = [[1]]
+    (:func:`_double_signs` with one row of choices).  Choices are
     consumed level by level (doubling level 2 upward), then by
-    increasing row index within the level.  Exact integer arithmetic;
-    each sign is written once.
+    increasing row index within the level.
     """
     w = square.w
     choices = tuple(int(c) for c in choices)
@@ -155,22 +234,8 @@ def color(square: LatinSquare, choices) -> SignedLatinSquare:
         raise ValidationError("choices must be +1 or -1")
     if square != construct_latin_square(w):
         raise ValidationError("colorings are defined on the structured square only")
-
-    S = square.entries
-    G = np.ones((square.n, square.n), dtype=np.int64)
-    pos = 0
-    for level in range(w):
-        h = 2 ** level
-        v = np.array((1,) + choices[pos:pos + h - 1], dtype=np.int64)
-        pos += h - 1
-        x = S[:h, :h] - 1
-        L = v[:, None] * v[x] * G[x, np.arange(h)]
-        U = -L.T
-        U[0] = 1
-        G[h:2 * h, :h] = L
-        G[:h, h:2 * h] = U
-        G[h:2 * h, h:2 * h] = -G[:h, :h] * U * L
-    return SignedLatinSquare(square, G, choices=choices)
+    signs = _double_signs(w, np.array([(1,) + choices], dtype=np.int64))
+    return SignedLatinSquare._checked_block(square, signs, [choices])[0]
 
 
 def enumerate_colorings(square: LatinSquare):
@@ -178,44 +243,50 @@ def enumerate_colorings(square: LatinSquare):
 
     Candidate index c maps to the bitstring format(c, '0{b}b') with
     '0' = '+' and '1' = '-', leftmost bit consumed first, so candidate
-    order is reproducible.
+    order is reproducible.  The signs are doubled for blocks of at most
+    ENUMERATION_BLOCK candidates at once and checked once per block;
+    each coloring's signs are a read-only view into its block.
     """
     if square.w > EXHAUSTIVE_MAX_W:
         raise SizeError(
             f"exhaustive enumeration is limited to w <= {EXHAUSTIVE_MAX_W} "
             f"({2 ** num_free_choices(EXHAUSTIVE_MAX_W)} candidates); got w={square.w}")
+    if square != construct_latin_square(square.w):
+        raise ValidationError("colorings are defined on the structured square only")
     b = num_free_choices(square.w)
-    for idx in range(2 ** b):
-        bits = format(idx, f"0{b}b") if b else ""
-        yield color(square, choices_from_bitstring(bits))
+    # Bit b of an index below 2**b is 0: the leading 1 of each row.
+    shifts = np.arange(b, -1, -1)
+    for start in range(0, 2 ** b, ENUMERATION_BLOCK):
+        index = np.arange(start, min(start + ENUMERATION_BLOCK, 2 ** b))
+        choices = 1 - 2 * ((index[:, None] >> shifts) & 1)
+        signs = _double_signs(square.w, choices)
+        yield from SignedLatinSquare._checked_block(
+            square, signs, list(map(tuple, choices[:, 1:].tolist())))
 
 
 def is_latin_hadamard(H: SignedLatinSquare) -> bool:
     """True iff all columns and all rows are symbolically orthogonal.
 
-    Only the columns are checked: every off-diagonal AB-BA quad must
-    close with sign product -1 (the diagonal always has product +1).
-    Every column holds each symbol once, so orthogonal columns give
-    H^T H = (sum of x_a^2) I; a square matrix with H^T H = cI, c
-    nonzero, also has H H^T = cI, so the rows are orthogonal too.
+    Only the columns are checked: every AB-BA corner must close, and
+    every closed quad must have sign product -1.  Every column holds
+    each symbol once, so orthogonal columns give H^T H = (sum of x_a^2) I;
+    a square matrix with H^T H = cI, c nonzero, also has H H^T = cI, so
+    the rows are orthogonal too.
     """
-    _, closes, product = quad_sign_products(H.square.entries, H.signs)
-    n = H.n
-    return int(np.count_nonzero(closes & (product == -1))) == n * n * (n - 1)
+    _, open_corners, product = quad_sign_products(H.square.entries, H.signs)
+    return not len(open_corners) and bool((product == -1).all())
 
 
 def partial_orthogonality_report(H: SignedLatinSquare) -> set:
     """Unordered 1-based column pairs whose symbolic dot product vanishes.
 
-    Exactly the column pairs (k, l) with an off-diagonal AB-BA quad that
-    fails to close with product -1 have a nonzero dot product.
+    Exactly the column pairs (k, l) with an open AB-BA corner or a
+    closed quad whose sign product is not -1 have a nonzero dot product.
     """
     n = H.n
-    partner, closes, product = quad_sign_products(H.square.entries, H.signs)
-    i, j, k = np.nonzero(~closes | (product != -1))
-    off = i != j
-    k, l = k[off], partner[i[off], j[off], k[off]]
+    quads, open_corners, product = quad_sign_products(H.square.entries, H.signs)
     failed = np.zeros((n, n), dtype=bool)
-    failed[k, l] = failed[l, k] = True
+    for _, _, k, l in (quads[product != -1].T, open_corners.T):
+        failed[k, l] = failed[l, k] = True
     k, l = np.nonzero(np.triu(~failed, 1))
     return set(zip((k + 1).tolist(), (l + 1).tolist()))

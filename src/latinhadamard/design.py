@@ -78,16 +78,19 @@ def verify_design(design: OrthogonalDesign) -> bool:
     """Symbolically check A A' = (sum_i s_i x_i^2) I over exact integers.
 
     The diagonal holds by construction.  Off the diagonal, the terms of
-    a row pair that survive the quads with sign product -1 (closed
-    quads with product +1, and open corners) must cancel within each
-    unordered variable monomial.
+    a row pair that survive the quads with sign product -1 must cancel
+    within each unordered variable monomial: a closed quad with product
+    +1 leaves its terms at both of its columns k and l, and an open
+    corner leaves its term at column k.
     """
     S = design.signed.square.entries
     G = design.signed.signs
     n = design.order
-    _, closes, product = quad_sign_products(S, G)
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)[:, :, None]
-    i, j, k = np.nonzero(upper & (~closes | (product == 1)))
+    quads, open_corners, product = quad_sign_products(S, G)
+    plus = quads[product == 1]
+    i = np.concatenate((plus[:, 0], plus[:, 0], open_corners[:, 0]))
+    j = np.concatenate((plus[:, 1], plus[:, 1], open_corners[:, 1]))
+    k = np.concatenate((plus[:, 2], plus[:, 3], open_corners[:, 2]))
     a = design.variables[S[i, k] - 1]
     b = design.variables[S[j, k] - 1]
     acc = np.zeros((n, n, design.num_vars + 1, design.num_vars + 1), dtype=np.int64)

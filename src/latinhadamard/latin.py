@@ -104,39 +104,55 @@ def construct_latin_square(w: int) -> LatinSquare:
 def _quad_frame(symbol_bytes: bytes, n: int):
     """Symbol-only part of the quad kernel for one n x n square.
 
-    Returns (partner, closes, flat), each n x n x n and read-only:
-    partner[i, j, k] is the column where row j holds S[i, k], closes
-    tells whether S[i, partner] == S[j, k], and flat is the index of
-    (i, j, partner) in a C-ordered n x n x n array.  Cached on the
+    Returns (quads, open_corners, gather), each read-only.  quads holds
+    every closed AB-BA quad once, as rows (i, j, k, l) with i < j and
+    k < l, in (i, j, k) order; open_corners holds the rows (i, j, k, l),
+    i < j, whose partner column l (where row j holds S[i, k]) does not
+    close the quad; gather holds the flat indices of G[i, k], G[i, l],
+    G[j, k] and G[j, l] for each quad, one row per corner.  Built one
+    row i at a time, so no n x n x n array is formed, and cached on the
     symbols, so squares that share their symbols share one frame.
     """
     S = np.frombuffer(symbol_bytes, dtype=np.int64).reshape(n, n)
     rows = np.arange(n)
     position = np.empty((n, n + 1), dtype=np.int64)
     position[rows[:, None], S] = rows[None, :]
-    i = rows[:, None, None]
-    j = rows[None, :, None]
-    partner = position[j, S[:, None, :]]
-    closes = S[i, partner] == S[j, rows]
-    flat = (i * n + j) * n + partner
-    for arr in (partner, closes, flat):
+    quads, corners = [], []
+    for i in range(n - 1):
+        # l[j', k] is the partner column for rows (i, i + 1 + j') and column k.
+        l = position[i + 1:, S[i]]
+        closes = S[i, l] == S[i + 1:]
+        for part, mask in ((quads, closes & (rows < l)), (corners, ~closes)):
+            jj, kk = np.nonzero(mask)
+            part.append(np.stack((np.full_like(jj, i), jj + i + 1, kk, l[jj, kk]), axis=1))
+    quads = np.concatenate(quads) if quads else np.empty((0, 4), dtype=np.int64)
+    open_corners = np.concatenate(corners) if corners else np.empty((0, 4), dtype=np.int64)
+    i, j, k, l = quads.T
+    gather = np.stack((i * n + k, i * n + l, j * n + k, j * n + l))
+    for arr in (quads, open_corners, gather):
         arr.setflags(write=False)
-    return partner, closes, flat
+    return quads, open_corners, gather
 
 
 def quad_sign_products(symbols, signs):
     """Close every AB-BA quad of a Latin square and multiply its signs.
 
-    For each row pair (i, j) and column k (0-based) the partner column
-    l is where row j holds symbols[i, k].  The quad closes when
-    symbols[i, l] == symbols[j, k], and its sign product is
-    signs[i, k] * signs[i, l] * signs[j, k] * signs[j, l].  Returns the
-    three n x n x n arrays (partner, closes, product), indexed [i, j, k];
-    the diagonal i == j is the degenerate quad l == k with product +1.
-    partner and closes depend on the symbols only: they come read-only
-    from a small cache, so a repeat call on the same square pays only
-    for the sign gather.  Squares above QUAD_MAX_N raise SizeError,
-    since a first call holds about 41 n**3 bytes.
+    For rows i < j and column k (0-based) the partner column l is where
+    row j holds symbols[i, k].  The quad closes when
+    symbols[i, l] == symbols[j, k]; it then also closes from column l
+    with partner k, and the same holds with i and j swapped.  Returns
+    (quads, open_corners, product): quads is a (Q, 4) array of every
+    closed quad once, as (i, j, k, l) with i < j and k < l, in
+    (i, j, k) order; open_corners is a (C, 4) array of the corners
+    (i, j, k, l), i < j, that fail to close; and product[q] is
+    signs[i, k] * signs[i, l] * signs[j, k] * signs[j, l] for quad q.
+    quads and open_corners depend on the symbols only: they come
+    read-only from a small cache, so a repeat call on the same square
+    pays only for four flat gathers of the signs.  A structured square
+    has n**2 (n - 1) / 4 quads and no open corners; its cached frame
+    holds 8 int64 per quad, about 16 n**3 bytes (33 MB at n = 128, where
+    a first call peaks at about 54 MB).  Squares above QUAD_MAX_N raise
+    SizeError before anything is allocated.
 
     Columns k and l are symbolically orthogonal exactly when every
     quad through them closes with product -1; a closed quad with
@@ -144,17 +160,13 @@ def quad_sign_products(symbols, signs):
     (e_i +/- e_j)(e_k +/- e_l) of the table read from (symbols, signs).
     Exact integer arithmetic.
     """
-    S = np.asarray(symbols, dtype=np.int64)
-    G = np.asarray(signs, dtype=np.int64)
-    n = S.shape[0]
+    n = np.shape(symbols)[0]
     if n > QUAD_MAX_N:
         raise SizeError(f"the AB-BA quad kernel is limited to n <= {QUAD_MAX_N}, got n={n}")
-    partner, closes, flat = _quad_frame(S.tobytes(), n)
-    # R[i, j, k] = G[i, k] * G[j, k]; the quad multiplies it by R[i, j, l].
-    R = G[:, None, :] * G[None, :, :]
-    product = R.take(flat)
-    product *= R
-    return partner, closes, product
+    S = np.asarray(symbols, dtype=np.int64)
+    quads, open_corners, gather = _quad_frame(S.tobytes(), n)
+    g = np.asarray(signs, dtype=np.int64).ravel()
+    return quads, open_corners, g[gather].prod(axis=0)
 
 
 def enumerate_abba_quads(square: LatinSquare):
@@ -165,16 +177,12 @@ def enumerate_abba_quads(square: LatinSquare):
     close raises InternalConsistencyError.
     """
     S = square.entries
-    # On the transpose, row pair (j2, j1) and column i1 give the partner
+    # On the transpose, rows j1 < j2 and column i1 close with partner
     # row i2 holding S[i1, j2] in column j1.
-    partner, closes, _ = quad_sign_products(S.T, np.ones_like(S))
-    j1s, j2s = np.triu_indices(square.n, 1)
-    if not closes[j2s, j1s].all():
+    quads, open_corners, _ = quad_sign_products(S.T, np.ones_like(S))
+    if len(open_corners):
         raise InternalConsistencyError(
             "AB-BA partner missing; the square does not have the corner property")
-    for j1, j2, partner_rows in zip(j1s.tolist(), j2s.tolist(),
-                                    partner[j2s, j1s].tolist()):
-        for i1, i2 in enumerate(partner_rows):
-            if i2 > i1:
-                yield CornerQuad(i1=i1 + 1, j1=j1 + 1, i2=i2 + 1, j2=j2 + 1,
-                                 a=int(S[i1, j1]), b=int(S[i1, j2]))
+    for j1, j2, i1, i2 in quads.tolist():
+        yield CornerQuad(i1=i1 + 1, j1=j1 + 1, i2=i2 + 1, j2=j2 + 1,
+                         a=int(S[i1, j1]), b=int(S[i1, j2]))

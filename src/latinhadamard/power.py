@@ -37,7 +37,7 @@ __all__ = [
     "DistributionSpec", "BinningScheme", "PowerSimConfig", "PowerSimResult",
     "normal_quantile", "chi_square_critical", "normal_critical",
     "bin_edges", "matched_normal_null", "preset_probability",
-    "simulate_power", "PRESET_WEIGHTS",
+    "simulate_power",
 ]
 
 PRESET_WEIGHTS = {

@@ -6,7 +6,7 @@ import pytest
 
 from latinhadamard import (SignedLatinSquare, ValidationError,
                            choices_from_bitstring, choices_to_bitstring, color,
-                           construct_latin_square, enumerate_colorings,
+                           coloring, construct_latin_square, enumerate_colorings,
                            is_latin_hadamard, num_free_choices,
                            partial_orthogonality_report)
 from latinhadamard.errors import SizeError
@@ -56,7 +56,7 @@ def test_color_validates_choices():
         color(square, (1, 1, 0, 1))
 
 
-@pytest.mark.parametrize("w,count", [(2, 2), (3, 16), (4, 2048)])
+@pytest.mark.parametrize("w,count", [(1, 1), (2, 2), (3, 16), (4, 2048)])
 def test_enumeration_count(w, count):
     square = construct_latin_square(w)
     seen = set()
@@ -261,3 +261,36 @@ def test_serialization_roundtrip_and_identity():
     assert clone.to_tuple() == H.to_tuple()
     other = color(square, (1, 1, 1, 1))
     assert other != H
+
+
+@pytest.mark.parametrize("w", (1, 2, 3, 4))
+def test_enumeration_equals_single_colorings_in_bitstring_order(w):
+    square = construct_latin_square(w)
+    b = num_free_choices(w)
+    count = 0
+    for index, H in enumerate(enumerate_colorings(square)):
+        assert H.choices == choices_from_bitstring(format(index, f"0{b}b") if b else "")
+        assert np.array_equal(H.signs, color(square, H.choices).signs)
+        count += 1
+    assert count == 2 ** b
+
+
+def test_enumerated_signs_cannot_be_made_writable():
+    for H in enumerate_colorings(construct_latin_square(3)):
+        with pytest.raises(ValueError):
+            H.signs.setflags(write=True)
+        with pytest.raises(ValueError):
+            H.signs[1, 1] = 1
+
+
+def test_enumeration_checks_each_block(monkeypatch):
+    double = coloring._double_signs
+
+    def one_bad_diagonal_sign(w, choices):
+        signs = double(w, choices)
+        signs[len(signs) // 2, 3, 3] = 1
+        return signs
+
+    monkeypatch.setattr(coloring, "_double_signs", one_bad_diagonal_sign)
+    with pytest.raises(ValidationError, match="diagonal"):
+        next(enumerate_colorings(construct_latin_square(3)))

@@ -3,12 +3,11 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from latinhadamard import (CellCounts, OrthogonalDesign, SignedLatinSquare,
-                           ValidationError, builtin_design_16, color,
-                           construct_latin_square, decompose,
+from latinhadamard import (DESIGN_16_CELL_VARIABLES, CellCounts, OrthogonalDesign,
+                           SignedLatinSquare, ValidationError, builtin_design_16,
+                           color, construct_latin_square, decompose,
                            design_to_eigenbasis, enumerate_colorings, radon,
                            verify_design)
-from latinhadamard.design import DESIGN_16_CELL_VARIABLES
 from latinhadamard.latin import LatinSquare
 
 from design_oracle import monomial_identity_holds

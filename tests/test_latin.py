@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -97,9 +99,11 @@ def test_partner_examples():
 def test_partner_closure(w):
     square = construct_latin_square(w)
     n = square.n
-    # On the transpose, row pair (j2, j1) and column i1 give the partner
-    # row holding S[i1, j2] in column j1.
-    partner, closes, _ = quad_sign_products(square.entries.T, np.ones((n, n)))
+    # On the transpose, rows j1 < j2 and columns i1 < i2 of a closed quad
+    # are the columns and rows of an AB-BA quad of the square.
+    quads, open_corners, _ = quad_sign_products(square.entries.T, np.ones((n, n)))
+    assert len(open_corners) == 0
+    keys = set(map(tuple, quads.tolist()))
     for i1 in range(1, n + 1):
         for j1 in range(1, n + 1):
             for j2 in range(1, n + 1):
@@ -109,8 +113,9 @@ def test_partner_closure(w):
                 assert q.i2 != i1
                 assert square.entry(q.i2, j1) == q.b
                 assert square.entry(q.i2, j2) == q.a
-                assert closes[j2 - 1, j1 - 1, i1 - 1]
-                assert partner[j2 - 1, j1 - 1, i1 - 1] + 1 == q.i2
+                assert (min(j1, j2) - 1, max(j1, j2) - 1,
+                        min(i1, q.i2) - 1, max(i1, q.i2) - 1) in keys
+    assert len(keys) == len(quads) == n * n * (n - 1) // 4
 
 
 def test_partner_detects_broken_square():
@@ -147,19 +152,28 @@ KERNEL_SQUARES = {
 }
 
 
-def _assert_kernel_matches(S, G, partner, closes, product):
+def _open_corners_by_scan(S):
+    """Rows (i, j, k, l), i < j, whose partner column l does not close."""
     n = S.shape[0]
-    closed = set()
+    corners = []
     for i in range(n):
-        for j in range(n):
+        for j in range(i + 1, n):
             for k in range(n):
-                l = int(partner[i, j, k])
-                assert S[j, l] == S[i, k]
-                assert closes[i, j, k] == (S[i, l] == S[j, k])
-                assert product[i, j, k] == G[i, k] * G[i, l] * G[j, k] * G[j, l]
-                if i < j and k < l and closes[i, j, k]:
-                    closed.add((i + 1, j + 1, k + 1, l + 1))
-    assert closed == set(brute_force_quads(S))
+                l = next(c for c in range(n) if S[j, c] == S[i, k])
+                if S[i, l] != S[j, k]:
+                    corners.append((i, j, k, l))
+    return corners
+
+
+def _assert_kernel_matches(S, G, quads, open_corners, product):
+    rows = [tuple(q) for q in quads.tolist()]
+    assert len(set(rows)) == len(rows)  # each closed quad exactly once
+    assert rows == sorted(rows)  # in (i, j, k) order
+    assert {(i + 1, j + 1, k + 1, l + 1) for i, j, k, l in rows} == set(brute_force_quads(S))
+    assert product.shape == (len(rows),)
+    for (i, j, k, l), p in zip(rows, product.tolist()):
+        assert p == G[i, k] * G[i, l] * G[j, k] * G[j, l]
+    assert [tuple(c) for c in open_corners.tolist()] == _open_corners_by_scan(S)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SQUARES))
@@ -167,12 +181,17 @@ def test_quad_kernel_matches_direct_evaluation(name):
     S = KERNEL_SQUARES[name]()
     n = S.shape[0]
     G = np.random.default_rng(n).choice((-1, 1), size=(n, n))
-    _assert_kernel_matches(S, G, *quad_sign_products(S, G))
+    quads, open_corners, product = quad_sign_products(S, G)
+    _assert_kernel_matches(S, G, quads, open_corners, product)
+    if name.isdigit():
+        # a structured square: every corner closes, n/2 quads per column pair
+        assert len(open_corners) == 0
+        assert len(quads) == n * n * (n - 1) // 4
 
 
 def test_cyclic_square_has_open_corners():
-    _, closes, _ = quad_sign_products(KERNEL_SQUARES["cyclic"](), np.ones((8, 8)))
-    assert closes.any() and not closes.all()
+    quads, open_corners, _ = quad_sign_products(KERNEL_SQUARES["cyclic"](), np.ones((8, 8)))
+    assert len(quads) and len(open_corners)
 
 
 def test_quad_kernel_gives_each_sign_matrix_its_own_product():
@@ -182,25 +201,41 @@ def test_quad_kernel_gives_each_sign_matrix_its_own_product():
     G1, G2 = (rng.choice((-1, 1), size=(8, 8)) for _ in range(2))
     first = quad_sign_products(S, G1)
     second = quad_sign_products(S, G2)
+    assert first[0] is second[0]
     assert not np.array_equal(first[2], second[2])
     _assert_kernel_matches(S, G1, *first)
     _assert_kernel_matches(S, G2, *second)
 
 
 def test_quad_frame_is_read_only():
-    partner, closes, product = quad_sign_products(construct_latin_square(2).entries,
-                                                  np.ones((4, 4)))
+    quads, open_corners, product = quad_sign_products(KERNEL_SQUARES["cyclic"](),
+                                                      np.ones((8, 8)))
     with pytest.raises(ValueError):
-        partner[0, 1, 2] = 0
+        quads[0, 1] = 0
     with pytest.raises(ValueError):
-        closes[0, 1, 2] = False
-    product[0, 1, 2] = -1  # the sign gather is the caller's own array
+        open_corners[0, 1] = 0
+    product[0] = -1  # the sign gather is the caller's own array
 
 
 def test_quad_kernel_size_guard():
     # rejected before anything n**3 is allocated
     with pytest.raises(SizeError):
         quad_sign_products(np.ones((256, 256), dtype=np.int64), np.ones((256, 256)))
+
+
+def test_quad_kernel_memory_at_the_size_limit():
+    # A first call at n = 128 builds the frame one row at a time and
+    # holds the closed quads, their gather index and one product each.
+    S = construct_latin_square(7).entries + 0  # new symbols: a frame not cached yet
+    S[[0, 1]] = S[[1, 0]]
+    tracemalloc.start()
+    try:
+        quads, open_corners, product = quad_sign_products(S, np.ones((128, 128)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(quads) == 128 * 128 * 127 // 4 and len(open_corners) == 0
+    assert peak < 86e6
 
 
 def test_quad_enumeration_single_at_w1():

@@ -76,6 +76,10 @@ class TestCriticalValues:
         assert chi_square_critical(7, 0.01) == pytest.approx(stats.chi2.ppf(0.99, 7), rel=1e-12)
         assert normal_critical(0.01) == pytest.approx(stats.norm.ppf(0.995), abs=1e-9)
 
+    def test_thirty_two_cell_critical_value_is_pinned(self):
+        # df = 31 has no embedded constant: the 32-cell value comes from scipy
+        assert chi_square_critical(31, 0.05) == pytest.approx(44.98534328036513, rel=1e-12)
+
 
 class TestBinning:
     def test_equiprobable_edges(self):
