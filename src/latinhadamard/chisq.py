@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 PROBABILITY_SUM_TOL = 1e-12
+# Counts are stored as int64, so their total must fit there too.
+_COUNT_TOTAL_MAX = 2 ** 63 - 1
 ORTHONORMALITY_TOL = 1e-12
 PARTITION_REL_TOL = 1e-10
 _INTERLACING_TOL = 1e-9
@@ -47,11 +49,12 @@ class ProbabilityVector:
         arr = np.asarray(p, dtype=float)
         if arr.ndim != 1 or arr.size < 2:
             raise ValidationError("need a flat vector of at least two probabilities")
-        if not (arr > 0).all():
-            raise ValidationError("all cell probabilities must be strictly positive")
-        if abs(arr.sum() - 1.0) > PROBABILITY_SUM_TOL:
-            raise ValidationError(
-                f"probabilities must sum to 1 (got {arr.sum()!r})")
+        # Bounded above before the sum, which could overflow; nan fails too.
+        if not all(0 < v <= 1 for v in arr.tolist()):
+            raise ValidationError("cell probabilities must lie in (0, 1]")
+        total = float(arr.sum())
+        if abs(total - 1.0) > PROBABILITY_SUM_TOL:
+            raise ValidationError(f"probabilities must sum to 1 (got {total!r})")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "p", arr)
@@ -87,17 +90,22 @@ class CellCounts:
         arr = np.asarray(m)
         if arr.ndim != 1:
             raise ValidationError("counts must be a flat vector")
-        if not np.issubdtype(arr.dtype, np.integer):
-            rounded = np.rint(arr)
-            if not np.array_equal(rounded, arr):
-                raise ValidationError("counts must be integers")
-            arr = rounded
-        arr = arr.astype(np.int64)
-        if (arr < 0).any():
+        # Checked as Python numbers, so that no entry and no total wraps
+        # in int64 (numpy holds ints beyond int64 as floats or objects).
+        values = arr.tolist()
+        if arr.dtype.kind not in "iu" and not all(
+                isinstance(v, int) or isinstance(v, float) and v.is_integer()
+                for v in values):
+            raise ValidationError("counts must be integers")
+        if min(values, default=0) < 0:
             raise ValidationError("counts must be non-negative")
+        n = sum(map(int, values))
+        if n > _COUNT_TOTAL_MAX:
+            raise ValidationError("counts must total at most 2**63 - 1")
+        arr = np.array(values, dtype=np.int64)
         arr.setflags(write=False)
         object.__setattr__(self, "m", arr)
-        object.__setattr__(self, "n", int(arr.sum()))
+        object.__setattr__(self, "n", n)
 
     @property
     def k(self) -> int:
@@ -229,10 +237,15 @@ def decompose(m: CellCounts, p: ProbabilityVector, basis: Eigenbasis) -> Decompo
     _check_dims(m, p)
     if basis.k != p.k:
         raise ValidationError("basis does not match the number of cells")
-    y = scaled_residuals(m, p)
-    components = basis.component_vectors().T @ y
-    x2 = pearson_x2(m, p)
-    if abs(x2 - np.square(components).sum()) > PARTITION_REL_TOL * max(1.0, x2):
+    with np.errstate(over="ignore"):
+        y = scaled_residuals(m, p)
+        components = basis.component_vectors().T @ y
+        x2 = pearson_x2(m, p)
+        squares = np.square(components).sum()
+    if not (math.isfinite(x2) and math.isfinite(squares)):
+        raise ValidationError(
+            "the Pearson statistic overflows: some expected cell counts are too small")
+    if abs(x2 - squares) > PARTITION_REL_TOL * max(1.0, x2):
         raise InternalConsistencyError(
             "component squares do not reproduce the Pearson statistic")
     return Decomposition(components=components, x2=x2)

@@ -32,13 +32,12 @@ CONSTRUCT_MAX_W = 6
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with code 2 on usage errors; we reserve 2 for
-    internal-consistency failures, so route usage errors to 1."""
+    """argparse prints a usage block and exits 2 on usage errors; 2 is
+    reserved for internal-consistency failures, so a usage error is
+    invalid input like any other: exit 1 and one line, from run."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+        raise ValidationError(message)
 
 
 def _matrix_json(arr) -> list:
@@ -46,11 +45,20 @@ def _matrix_json(arr) -> list:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except (OSError, ValueError) as exc:
+        # ValueError: a NUL byte or an unencodable character in the path.
+        raise ValidationError(f"cannot write output file {out!r}: {exc}") from None
+
+
+def _limit_w(w: int, limit: int) -> None:
+    if w > limit:
+        raise SizeError(f"--w is limited to {limit} here, got {w}")
 
 
 def _require_format(fmt: str, allowed: tuple[str, ...]) -> None:
@@ -105,10 +113,7 @@ def _load_matrix(source: str | None) -> coloring.SignedLatinSquare:
 def _cmd_construct(args) -> str:
     fmt = args.format or "pretty"
     _require_format(fmt, ("json", "csv", "pretty"))
-    if args.w > CONSTRUCT_MAX_W:
-        raise SizeError(
-            f"--w is limited to {CONSTRUCT_MAX_W} "
-            f"(a {2 ** args.w}x{2 ** args.w} matrix is beyond the guard)")
+    _limit_w(args.w, CONSTRUCT_MAX_W)
     square = construct_latin_square(args.w)
     if fmt == "json":
         return json.dumps({"w": square.w, "entries": _matrix_json(square.entries)}) + "\n"
@@ -124,6 +129,7 @@ def _cmd_construct(args) -> str:
 def _cmd_enumerate(args) -> str:
     fmt = args.format or "json"
     _require_format(fmt, ("json", "csv"))
+    _limit_w(args.w, coloring.EXHAUSTIVE_MAX_W)
     square = construct_latin_square(args.w)
     records = []
     for H in coloring.enumerate_colorings(square):
@@ -146,12 +152,12 @@ def _cmd_enumerate(args) -> str:
 
 
 def _cmd_algebra(args) -> str:
-    if args.from_coloring:
-        table = table_from_signed_square(_load_matrix(args.from_coloring))
-    else:
-        if args.dim is None:
-            raise ValidationError("need --dim or --from-coloring")
+    if (args.dim is None) == (args.from_coloring is None):
+        raise ValidationError("algebra takes exactly one of --dim and --from-coloring")
+    if args.dim is not None:
         table = cayley_dickson_table(int(math.log2(args.dim)))
+    else:
+        table = table_from_signed_square(_load_matrix(args.from_coloring))
     fmt = args.format or "pretty"
     signed = table.signs * table.indices
     if args.report == "table":
@@ -208,9 +214,10 @@ def _cmd_decompose(args) -> str:
     _require_format(args.format or "json", ("json",))
     p = _parse_probability(args.p)
     try:
-        counts = CellCounts([int(tok) for tok in args.counts.split(",")])
+        tokens = [int(tok) for tok in args.counts.split(",")]
     except ValueError:
         raise ValidationError(f"expected comma-separated integers, got {args.counts!r}") from None
+    counts = CellCounts(tokens)
     H = _load_matrix(args.matrix)
     basis = eigenbasis_from_latin_hadamard(H, p)
     result = decompose(counts, p, basis)
@@ -222,6 +229,15 @@ def _cmd_decompose(args) -> str:
 
 
 def _cmd_power(args) -> str:
+    try:
+        args.seed = int(os.environ.get("LH_SEED", args.seed))
+    except ValueError:
+        raise ValidationError(
+            f"LH_SEED must be an integer, got {os.environ['LH_SEED']!r}") from None
+    if not (args.preset or args.p):
+        raise ValidationError("power needs --preset or --p")
+    if args.preset and args.p:
+        raise ValidationError("--preset and --p are mutually exclusive")
     fmt = args.format or "table"
     _require_format(fmt, ("table", "json", "csv"))
     p = _parse_probability(args.preset if args.preset else args.p)
@@ -322,29 +338,11 @@ def _build_parser() -> _Parser:
 
 def run(argv) -> int:
     """Parse argv, execute, return the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if args.command == "power":
-        env_seed = os.environ.get("LH_SEED")
-        if env_seed is not None:
-            try:
-                args.seed = int(env_seed)
-            except ValueError:
-                print(f"latinhadamard: error: LH_SEED must be an integer, got {env_seed!r}",
-                      file=sys.stderr)
-                return 1
-        if not (args.preset or args.p):
-            print("latinhadamard: error: power needs --preset or --p", file=sys.stderr)
-            return 1
-        if args.preset and args.p:
-            print("latinhadamard: error: --preset and --p are mutually exclusive",
-                  file=sys.stderr)
-            return 1
-    try:
+        args = _build_parser().parse_args(argv)
         _emit(args.func(args), args.out)
+    except SystemExit as exc:  # --help, which argparse ends with exit 0
+        return int(exc.code or 0)
     except ValidationError as exc:
         print(f"latinhadamard: error: {exc}", file=sys.stderr)
         return 1

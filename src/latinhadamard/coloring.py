@@ -31,8 +31,6 @@ __all__ = [
 ]
 
 EXHAUSTIVE_MAX_W = 4
-# Colorings doubled together by enumerate_colorings: 2**11 is all of w = 4.
-ENUMERATION_BLOCK = 2 ** 11
 # Signs of the 2 x 2 square, the first doubling, which has no choices.
 _FIRST_LEVEL = np.array([[1, 1], [1, -1]], dtype=np.int64)
 
@@ -243,9 +241,9 @@ def enumerate_colorings(square: LatinSquare):
 
     Candidate index c maps to the bitstring format(c, '0{b}b') with
     '0' = '+' and '1' = '-', leftmost bit consumed first, so candidate
-    order is reproducible.  The signs are doubled for blocks of at most
-    ENUMERATION_BLOCK candidates at once and checked once per block;
-    each coloring's signs are a read-only view into its block.
+    order is reproducible.  The signs of all candidates (at most 2**11,
+    at w = EXHAUSTIVE_MAX_W) are doubled at once and checked once; each
+    coloring's signs are a read-only view into that one block.
     """
     if square.w > EXHAUSTIVE_MAX_W:
         raise SizeError(
@@ -255,13 +253,10 @@ def enumerate_colorings(square: LatinSquare):
         raise ValidationError("colorings are defined on the structured square only")
     b = num_free_choices(square.w)
     # Bit b of an index below 2**b is 0: the leading 1 of each row.
-    shifts = np.arange(b, -1, -1)
-    for start in range(0, 2 ** b, ENUMERATION_BLOCK):
-        index = np.arange(start, min(start + ENUMERATION_BLOCK, 2 ** b))
-        choices = 1 - 2 * ((index[:, None] >> shifts) & 1)
-        signs = _double_signs(square.w, choices)
-        yield from SignedLatinSquare._checked_block(
-            square, signs, list(map(tuple, choices[:, 1:].tolist())))
+    choices = 1 - 2 * ((np.arange(2 ** b)[:, None] >> np.arange(b, -1, -1)) & 1)
+    signs = _double_signs(square.w, choices)
+    yield from SignedLatinSquare._checked_block(
+        square, signs, list(map(tuple, choices[:, 1:].tolist())))
 
 
 def is_latin_hadamard(H: SignedLatinSquare) -> bool:

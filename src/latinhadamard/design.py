@@ -109,8 +109,9 @@ def design_to_eigenbasis(design: OrthogonalDesign, p_vars) -> Eigenbasis:
     if values.shape != (design.num_vars,):
         raise ValidationError(
             f"need {design.num_vars} variable probabilities, got {values.shape}")
-    if not (values > 0).all():
-        raise ValidationError("variable probabilities must be strictly positive")
+    # Bounded above before the weighted sum, which could overflow; nan fails too.
+    if not all(0 < v <= 1 for v in values.tolist()):
+        raise ValidationError("variable probabilities must lie in (0, 1]")
     norm = float(np.dot(design.type, values))
     if abs(norm - 1.0) > PROBABILITY_SUM_TOL:
         raise ValidationError(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,28 @@ class TestInputs:
             CellCounts([1.5, 2.5])
         counts = CellCounts([3, 7])
         assert counts.n == 10 and counts.k == 2
+
+    @pytest.mark.parametrize("m", [[10 ** 23, 1], [2 ** 63, 1], [2.0 ** 63, 1.0],
+                                   [2 ** 63 - 1, 2 ** 63 - 1], [2 ** 62, 2 ** 62]])
+    def test_counts_beyond_int64_rejected(self, m):
+        with pytest.raises(ValidationError, match="at most 2\\*\\*63 - 1"):
+            CellCounts(m)
+
+    def test_largest_int64_total_kept_exactly(self):
+        counts = CellCounts([2 ** 62, 2 ** 62 - 1])
+        assert counts.n == 2 ** 63 - 1
+        assert counts.m.tolist() == [2 ** 62, 2 ** 62 - 1]
+
+    def test_probabilities_above_one_rejected_without_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="must lie in"):
+                ProbabilityVector([1e308, 1e308])
+
+    def test_sum_message_shows_a_python_float(self):
+        with pytest.raises(ValidationError) as info:
+            ProbabilityVector([0.5, 0.1])
+        assert str(info.value) == "probabilities must sum to 1 (got 0.6)"
 
 
 class TestPearson:
@@ -189,6 +212,15 @@ class TestDecompose:
                 basis = eigenbasis_from_latin_hadamard(H, p)
                 result = decompose(m, p, basis)
                 assert abs(result.sum_check) <= 1e-10 * max(1.0, result.x2)
+
+    def test_overflowing_statistic_rejected_without_warning(self):
+        # expected counts of 1e-320 send X^2 past the largest float
+        p = ProbabilityVector([1.0] + [1e-320] * 7)
+        basis = eigenbasis_from_latin_hadamard(canonical_signed_square_8(), p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="overflows"):
+                decompose(CellCounts([1] * 8), p, basis)
 
 
 class TestComponentFormulas:

@@ -8,6 +8,7 @@ from pathlib import Path
 import contextlib
 import io
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -485,3 +486,186 @@ def test_installed_entry_point_runs():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["entries"] == [[1, 2], [2, 1]]
+
+
+def _one_error_line(code, out, err):
+    assert (code, out) == (1, "")
+    assert err.startswith("latinhadamard: error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", ["", "construct --w 2 --bogus", "algebra --dim 7",
+                                  "power", "decompose --p a", "construct --w x"])
+def test_usage_errors_are_one_line(capsys, argv):
+    _one_error_line(*invoke(capsys, *argv.split()))
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["power", "-h"], ["design", "--help"]])
+def test_help_exits_zero_on_stdout(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: latinhadamard")
+
+
+def test_unwritable_output_file_is_one_line(capsys, tmp_path):
+    for target in (tmp_path / "missing" / "out.json", tmp_path, "a\x00b"):
+        code, out, err = invoke(capsys, "construct", "--w", "1", "--out", str(target))
+        _one_error_line(code, out, err)
+        assert "cannot write output file" in err
+
+
+@pytest.mark.parametrize("argv", [["algebra", "--dim", "16", "--from-coloring", "builtin:3"],
+                                  ["algebra", "--report", "table"]])
+def test_algebra_takes_exactly_one_source(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    _one_error_line(code, out, err)
+    assert "exactly one of --dim and --from-coloring" in err
+
+
+@pytest.mark.parametrize("counts", ["100000000000000000000000,1,1,1,1,1,1,1",
+                                    "9223372036854775807,9223372036854775807,1,1,1,1,1,1"])
+def test_counts_beyond_int64_are_one_line(capsys, counts):
+    code, out, err = invoke(capsys, "decompose", "--p", "a", "--counts", counts)
+    _one_error_line(code, out, err)
+    assert "2**63 - 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--p", "1e308,1e308", "--counts", "1,1"],
+    ["design", "--eigenbasis", "--pvars", ",".join(["1e308"] * 9)],
+    ["decompose", "--p", ",".join(["1"] + ["1e-320"] * 7), "--counts", "1,1,1,1,1,1,1,1"],
+])
+def test_extreme_probabilities_are_one_line_without_warnings(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = invoke(capsys, *argv)
+    _one_error_line(code, out, err)
+    assert [str(w.message) for w in caught] == []
+
+
+def test_probability_sum_message_shows_a_plain_float(capsys):
+    code, out, err = invoke(capsys, "decompose", "--p", "0.5,0.1", "--counts", "1,1")
+    assert (code, out, err) == (1, "", "latinhadamard: error: probabilities must sum to 1 "
+                                       "(got 0.6)\n")
+
+
+@pytest.mark.parametrize("command,w", [("enumerate", 5), ("enumerate", 11),
+                                       ("construct", 7), ("construct", 20000)])
+def test_w_guard_fires_before_any_square_is_built(capsys, monkeypatch, command, w):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the size guard must fire before the square is built")
+
+    monkeypatch.setattr(cli, "construct_latin_square", unreachable)
+    code, out, err = invoke(capsys, command, "--w", str(w))
+    _one_error_line(code, out, err)
+    assert "limited" in err
+
+
+# A bounded argv grammar over all six subcommands.  Each value is valid
+# three times in four and otherwise malformed or extreme; "{tmp}" is a
+# fresh directory per example that holds a valid 8x8 matrix file.
+def _mostly(valid, invalid):
+    return st.integers(0, 3).flatmap(lambda i: valid if i else invalid)
+
+
+def _joined(tokens, min_size, max_size):
+    return st.lists(tokens, min_size=min_size, max_size=max_size).map(",".join)
+
+
+_FLOAT_TOKENS = st.sampled_from(["0.125", "0.5", "0.25", "0.0625", "0.1", "1", "0", "-0.5",
+                                 "2", "1e308", "1e-320", "nan", "inf", "x", ""])
+_PROBABILITIES = _mostly(
+    st.sampled_from(["a", "b", "c", ",".join(["0.125"] * 8),
+                     "0.05,0.1,0.15,0.2,0.2,0.15,0.1,0.05"]),
+    st.sampled_from(["d", "0.5,0.5", ",".join(["1"] + ["1e-320"] * 7)])
+    | _joined(_FLOAT_TOKENS, 1, 9))
+_COUNTS = _mostly(
+    _joined(st.integers(0, 500).map(str), 8, 8),
+    _joined(st.integers(0, 500).map(str)
+            | st.sampled_from(["-1", "1.5", "x", "", str(2 ** 62), str(2 ** 63 - 1),
+                               str(2 ** 63), str(10 ** 23)]), 1, 9))
+_MATRIX_SPECS = _mostly(st.sampled_from(["builtin:0", "builtin:13", "builtin:15",
+                                         "{tmp}/matrix.json"]),
+                        st.sampled_from(["builtin:16", "builtin:x", "{tmp}/missing.json",
+                                         "{tmp}"]))
+_DISTRIBUTIONS = _mostly(st.sampled_from(["normal:0,1", "normal:0,1.3", "normal:0.3,1", "t:2",
+                                          "cauchy", "gamma:2,0.5", "gamma:5,0.2"]),
+                         st.sampled_from(["normal:0,-1", "normal:0,nan", "t:0", "gamma:-1,1",
+                                          "bogus", "normal:x"]))
+
+
+def _formats(*valid):
+    return _mostly(st.sampled_from(valid), st.sampled_from(["json", "csv", "pretty", "table",
+                                                            "xml"]))
+
+
+def _ints(low, high):
+    return _mostly(st.integers(low, high).map(str), st.sampled_from(["0", "-1", "x", ""]))
+
+
+_FLAG = st.just(True)
+# flag: (values, shown out of four)
+_GRAMMAR = {
+    "construct": {"--w": (_ints(0, 6), 4), "--format": (_formats("json", "csv", "pretty"), 2)},
+    "enumerate": {"--w": (_ints(0, 6), 4), "--valid-only": (_FLAG, 2),
+                  "--format": (_formats("json", "csv"), 2)},
+    "algebra": {"--dim": (_mostly(st.sampled_from(["2", "4", "8", "16", "32"]),
+                                  st.sampled_from(["1", "64", "x"])), 2),
+                "--from-coloring": (_MATRIX_SPECS, 2),
+                "--report": (_mostly(st.sampled_from(["table", "zero-divisors"]),
+                                     st.just("bogus")), 2),
+                "--format": (_formats("json", "csv", "pretty"), 2)},
+    "design": {"--show": (_FLAG, 1), "--verify": (_FLAG, 1), "--eigenbasis": (_FLAG, 2),
+               "--pvars": (_mostly(st.sampled_from([",".join(["0.0625"] * 9),
+                                                   "0.1,0.05,0.06,0.07,0.05,0.04,0.06,0.07,0.1"]),
+                                   _joined(_FLOAT_TOKENS, 1, 10)), 3),
+               "--format": (_formats("json", "pretty"), 2)},
+    "decompose": {"--p": (_PROBABILITIES, 4), "--counts": (_COUNTS, 4),
+                  "--matrix": (_MATRIX_SPECS, 2), "--format": (_formats("json"), 1)},
+    "power": {"--alt": (_DISTRIBUTIONS, 4), "--null": (_DISTRIBUTIONS, 1),
+              "--preset": (_mostly(st.sampled_from(["a", "b", "c"]), st.just("d")), 2),
+              "--p": (_PROBABILITIES, 2), "--n": (_ints(1, 50), 3),
+              "--reps": (_ints(1, 20), 4),
+              "--alpha": (_mostly(st.sampled_from(["0.05", "0.01", "0.5"]),
+                                  st.sampled_from(["0", "1", "nan", "x"])), 1),
+              "--seed": (st.integers(-5, 2 ** 70).map(str), 2),
+              "--threads": (_ints(1, 2), 2), "--matrix": (_MATRIX_SPECS, 1),
+              "--format": (_formats("table", "json", "csv"), 2)},
+}
+_OUT = _mostly(st.just("{tmp}/out.txt"),
+               st.sampled_from(["{tmp}/missing/out.txt", "{tmp}", "a\x00b"]))
+
+
+@st.composite
+def _argv(draw, command):
+    argv = [command]
+    for flag, (values, shown) in {**_GRAMMAR[command], "--out": (_OUT, 1)}.items():
+        if draw(st.integers(0, 3)) < shown or shown == 4 and draw(st.integers(0, 9)):
+            value = draw(values)
+            argv += [flag] if value is True else [flag, value]
+    argv += draw(st.sampled_from([[]] * 14 + [["--bogus"], ["extra"]]))
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(_GRAMMAR))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_every_exit_is_clean(command, data):
+    """Exit 0 with nothing on stderr, or exit 1 or 2 with one stderr line
+    and nothing on stdout; never a traceback or a warning."""
+    argv = data.draw(_argv(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "matrix.json").write_text(json.dumps(_canonical_entries()))
+        argv = [token.replace("{tmp}", tmp) for token in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = run(argv)
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 1, 2)
+    if code:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("latinhadamard:")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    else:
+        assert err.getvalue() == ""

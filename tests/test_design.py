@@ -1,3 +1,4 @@
+import warnings
 from itertools import permutations, product
 
 import numpy as np
@@ -163,6 +164,13 @@ def test_input_validation():
         design_to_eigenbasis(design, bad)
     with pytest.raises(ValidationError):
         design_to_eigenbasis(design, np.full(4, 0.25))
+
+
+def test_variable_probabilities_above_one_rejected_without_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="must lie in"):
+            design_to_eigenbasis(builtin_design_16(), [1e308, 1e308] + [1.0] * 7)
 
 
 def test_sixteen_cell_partition_identity():
