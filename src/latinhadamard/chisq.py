@@ -62,7 +62,10 @@ class ProbabilityVector:
     @classmethod
     def proportional_to(cls, weights) -> "ProbabilityVector":
         arr = np.asarray(weights, dtype=float)
-        total = arr.sum()
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = arr.sum()
+        if not math.isfinite(total):
+            raise ValidationError("weights must have a finite sum")
         if total <= 0:
             raise ValidationError("weights must have a positive sum")
         return cls(arr / total)
@@ -171,16 +174,22 @@ def _check_dims(m: CellCounts, p: ProbabilityVector) -> None:
 def pearson_x2(m: CellCounts, p: ProbabilityVector) -> float:
     """Sum of (observed - expected)^2 / expected over all cells."""
     _check_dims(m, p)
-    expected = m.n * p.p
+    return _pearson_x2(m, m.n * p.p)
+
+
+def _pearson_x2(m: CellCounts, expected: np.ndarray) -> float:
     return float((np.square(m.m - expected) / expected).sum())
 
 
 def scaled_residuals(m: CellCounts, p: ProbabilityVector) -> np.ndarray:
     """y_i = (m_i - n p_i) / sqrt(n p_i); satisfies y'y = X^2."""
     _check_dims(m, p)
+    return _scaled_residuals(m, m.n * p.p)
+
+
+def _scaled_residuals(m: CellCounts, expected: np.ndarray) -> np.ndarray:
     if m.n < 1:
         raise ValidationError("need at least one observation")
-    expected = m.n * p.p
     return (m.m - expected) / np.sqrt(expected)
 
 
@@ -232,15 +241,17 @@ def decompose(m: CellCounts, p: ProbabilityVector, basis: Eigenbasis) -> Decompo
 
     The first-column term is omitted because it is identically zero
     (count conservation); the remaining squares sum to X^2 exactly, and
-    the identity is re-checked numerically here.
+    the identity is re-checked numerically here, against X^2 summed
+    directly over the cells rather than from the residuals.
     """
     _check_dims(m, p)
     if basis.k != p.k:
         raise ValidationError("basis does not match the number of cells")
+    expected = m.n * p.p
     with np.errstate(over="ignore"):
-        y = scaled_residuals(m, p)
+        y = _scaled_residuals(m, expected)
         components = basis.component_vectors().T @ y
-        x2 = pearson_x2(m, p)
+        x2 = _pearson_x2(m, expected)
         squares = np.square(components).sum()
     if not (math.isfinite(x2) and math.isfinite(squares)):
         raise ValidationError(

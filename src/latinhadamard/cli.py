@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -34,7 +35,16 @@ CONSTRUCT_MAX_W = 6
 class _Parser(argparse.ArgumentParser):
     """argparse prints a usage block and exits 2 on usage errors; 2 is
     reserved for internal-consistency failures, so a usage error is
-    invalid input like any other: exit 1 and one line, from run."""
+    invalid input like any other: exit 1 and one line, from run.
+
+    A token such as ``-1,2`` or ``-0.5,0.5`` is a value, not an unknown
+    flag: argparse takes only plain negative numbers for values, but no
+    option of this CLI starts with a single dash other than ``-h``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)  # adds -h before the matcher below
+        self._negative_number_matcher = re.compile(r"^-[^-]")
 
     def error(self, message):
         raise ValidationError(message)
@@ -331,7 +341,7 @@ def _build_parser() -> _Parser:
     pw.add_argument("--seed", type=int, default=0,
                     help="master seed (LH_SEED env var overrides)")
     pw.add_argument("--threads", type=int, default=1,
-                    help="worker threads, at most one per CPU")
+                    help="worker processes, at most one per usable CPU")
     pw.set_defaults(func=_cmd_power)
     return parser
 

@@ -10,12 +10,15 @@ component individually.
 Reproducibility contract: every replication draws from its own
 counter-based stream keyed by (master seed, replication index), and the
 per-statistic rejection counts are reduced by integer summation, so
-results are bit-identical regardless of how replications are chunked
-across threads.
+results are bit-identical regardless of how replications are split
+across worker processes.
 
 Replications run in blocks of at most ``BLOCK_DRAWS`` draws.  A worker
 resets one Philox to each replication's key, draws the samples into the
-rows of a block, then bins and projects the whole block at once.
+rows of a block, then bins and projects the whole block at once.  With
+more than one worker, the calling process runs the first range of
+replications itself and forks one child per other range; each child
+sends back only its rejection counts through a pipe.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import math
 import os
 import statistics
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +34,7 @@ import numpy as np
 from .chisq import (Eigenbasis, ProbabilityVector, canonical_signed_square_8,
                     eigenbasis_from_latin_hadamard)
 from .coloring import SignedLatinSquare
-from .errors import SizeError, ValidationError
+from .errors import InternalConsistencyError, SizeError, ValidationError
 
 __all__ = [
     "DistributionSpec", "BinningScheme", "PowerSimConfig", "PowerSimResult",
@@ -298,14 +301,100 @@ def _run_block(cfg: PowerSimConfig, scheme: BinningScheme,
     return rejections
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else every CPU of the machine."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _fork_block(args: tuple, rep_range: range):
+    """Fork a child that runs ``_run_block(*args, rep_range)``.
+
+    Returns the child's pid and the read end of its pipe.  The child
+    writes its int64 rejection counts, or on failure the error text, and
+    exits 0 or 1 through ``os._exit``: it never returns into the caller,
+    runs no exit handler and flushes no stdio buffer it inherited.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, open(read_fd, "rb")
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            payload = _run_block(*args, rep_range).tobytes()
+            status = 0
+        except Exception as exc:
+            payload = f"{type(exc).__name__}: {exc}".encode(errors="replace")
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(status)
+
+
+def _run_forked(args: tuple, ranges: list[range]) -> np.ndarray:
+    """Summed rejection counts of ``ranges``: the first runs here, each
+    other one in a forked child, which is reaped before this returns.
+
+    A child that fails raises InternalConsistencyError here; the others
+    are killed.  A range that finds no process or pipe to spare runs
+    here too.
+    """
+    import signal
+
+    children = {}  # pid -> (range, pipe)
+    try:
+        local = [ranges[0]]
+        for rep_range in ranges[1:]:
+            try:
+                pid, pipe = _fork_block(args, rep_range)
+            except OSError:
+                local.append(rep_range)
+            else:
+                children[pid] = (rep_range, pipe)
+        totals = sum(_run_block(*args, rep_range) for rep_range in local)
+        for pid, (rep_range, pipe) in list(children.items()):
+            payload = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            pipe.close()
+            if status != 0 or len(payload) != totals.nbytes:
+                text = " ".join(payload.decode(errors="replace").split())
+                reason = text if status == 1 and text else f"exit status {status}"
+                raise InternalConsistencyError(
+                    f"worker for replications {rep_range.start}.."
+                    f"{rep_range.stop - 1} failed: {reason}")
+            totals += np.frombuffer(payload, dtype=np.int64)
+        return totals
+    finally:
+        for pid, (_, pipe) in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def simulate_power(cfg: PowerSimConfig, threads: int = 1) -> PowerSimResult:
     """Estimate rejection rates for X^2 and every component statistic.
 
     The overall statistic is compared against the upper chi-square
     critical value with k-1 degrees of freedom; each signed component
-    against the two-sided normal critical value.  Replications are
-    independent and may be chunked across threads without changing the
-    result.  ``threads`` below 1 raises ValidationError.
+    against the two-sided normal critical value.  ``threads`` caps the
+    worker count, which is also capped by the usable CPUs, and is 1
+    where the platform cannot fork or the process runs other threads.
+    Each worker runs one contiguous range of replications: this process
+    the first, a forked child each of the others.  The result does not
+    depend on the worker count.  ``threads`` below 1 raises
+    ValidationError; a failed worker raises InternalConsistencyError.
     """
     if threads < 1:
         raise ValidationError(f"threads must be at least 1, got {threads}")
@@ -313,26 +402,22 @@ def simulate_power(cfg: PowerSimConfig, threads: int = 1) -> PowerSimResult:
     scheme = bin_edges(cfg.null, cfg.p)
     k = cfg.p.k
     expected = cfg.n * cfg.p.p
-    sqrt_expected = np.sqrt(expected)
-    vectors = basis.component_vectors()
-    chi_crit = chi_square_critical(k - 1, cfg.alpha)
-    z_crit = normal_critical(cfg.alpha)
+    args = (cfg, scheme, basis.component_vectors(), np.sqrt(expected), expected,
+            chi_square_critical(k - 1, cfg.alpha), normal_critical(cfg.alpha))
 
-    # The result does not depend on the chunking, and each chunk costs a
-    # pool task, a Philox and a block, so there is one chunk per worker
-    # and never more workers than CPUs.
-    block = math.ceil(cfg.reps / min(threads, os.cpu_count() or 1))
-    ranges = [range(start, min(start + block, cfg.reps))
-              for start in range(0, cfg.reps, block)]
+    # Each worker costs a process, a Philox and a block, so there is one
+    # range per worker and never more workers than usable CPUs.  A fork
+    # copies only the calling thread, so a lock another thread holds
+    # would stay locked in the child: a process with threads forks none.
+    can_fork = hasattr(os, "fork") and threading.active_count() == 1
+    workers = min(threads, _usable_cpus()) if can_fork else 1
+    size = math.ceil(cfg.reps / workers)
+    ranges = [range(start, min(start + size, cfg.reps))
+              for start in range(0, cfg.reps, size)]
     if len(ranges) == 1:
-        totals = _run_block(cfg, scheme, vectors, sqrt_expected, expected,
-                            chi_crit, z_crit, ranges[0])
+        totals = _run_block(*args, ranges[0])
     else:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            parts = pool.map(
-                lambda r: _run_block(cfg, scheme, vectors, sqrt_expected,
-                                     expected, chi_crit, z_crit, r), ranges)
-            totals = sum(parts)
+        totals = _run_forked(args, ranges)
 
     rates = totals / cfg.reps
     ses = np.sqrt(rates * (1.0 - rates) / cfg.reps)

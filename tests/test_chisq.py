@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from latinhadamard import chisq
 from latinhadamard import (CellCounts, Eigenbasis, ProbabilityVector,
                            SignedLatinSquare, ValidationError,
                            alternate_signed_square_8, canonical_signed_square_8,
@@ -60,6 +61,14 @@ class TestInputs:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="must lie in"):
                 ProbabilityVector([1e308, 1e308])
+
+    @pytest.mark.parametrize("weights", [[1e308, 1e308], [1.0, math.inf],
+                                         [math.inf, -math.inf], [1.0, math.nan]])
+    def test_weights_with_no_finite_sum_rejected_without_warning(self, weights):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^weights must have a finite sum$"):
+                ProbabilityVector.proportional_to(weights)
 
     def test_sum_message_shows_a_python_float(self):
         with pytest.raises(ValidationError) as info:
@@ -221,6 +230,28 @@ class TestDecompose:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="overflows"):
                 decompose(CellCounts([1] * 8), p, basis)
+
+    def test_dims_checked_once_and_x2_summed_over_the_cells(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        p = random_probability(rng, 8)
+        m = CellCounts(rng.multinomial(300, p.p))
+        basis = eigenbasis_from_latin_hadamard(canonical_signed_square_8(), p)
+        checks = []
+        check_dims = chisq._check_dims
+        monkeypatch.setattr(chisq, "_check_dims",
+                            lambda *args: checks.append(args) or check_dims(*args))
+        result = decompose(m, p, basis)
+        assert len(checks) == 1
+        # X^2 comes from the cells, the independent side of the partition check.
+        assert result.x2 == pearson_x2(m, p)
+        with pytest.raises(ValidationError, match="counts have 4 cells"):
+            decompose(CellCounts([1, 2, 3, 4]), p, basis)
+
+    def test_empty_counts_rejected(self):
+        p = ProbabilityVector.equiprobable(2)
+        basis = eigenbasis_from_sign_matrix(sylvester_hadamard(1), p)
+        with pytest.raises(ValidationError, match="at least one observation"):
+            decompose(CellCounts([0, 0]), p, basis)
 
 
 class TestComponentFormulas:

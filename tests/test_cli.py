@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import latinhadamard
 from latinhadamard import (canonical_signed_square_8, cli, construct_latin_square,
-                           enumerate_colorings)
+                           enumerate_colorings, power)
 from latinhadamard.cli import run
 from latinhadamard.power import BLOCK_DRAWS, MAX_REPS
 
@@ -198,6 +198,50 @@ def test_power_threads_default_to_one(capsys, monkeypatch):
     code, _, _ = invoke(capsys, "power", "--alt", "t:2", "--preset", "a", "--reps", "50")
     assert code == 0
     assert seen == [1]
+
+
+def test_power_csv_bytes_equal_across_worker_counts(capsys, monkeypatch):
+    # Eight usable CPUs, so that 2, 4 and 8 really are the worker counts.
+    monkeypatch.setattr(power.os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+    outputs = set()
+    for threads in ("1", "2", "4", "8"):
+        code, out, err = invoke(capsys, "power", "--alt", "gamma:2,0.5", "--preset", "c",
+                                "--reps", "203", "--seed", "5", "--format", "csv",
+                                "--threads", threads)
+        assert (code, err) == (0, "")
+        outputs.add(out)
+    assert len(outputs) == 1
+
+
+def test_failed_power_worker_is_exit_two_in_one_line(capsys, monkeypatch):
+    run_block = power._run_block
+
+    def failing_away_from_zero(*args):
+        if args[-1].start != 0:
+            raise RuntimeError("worker failed")
+        return run_block(*args)
+
+    monkeypatch.setattr(power, "_run_block", failing_away_from_zero)
+    monkeypatch.setattr(power.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    code, out, err = invoke(capsys, "power", "--alt", "t:2", "--preset", "a",
+                            "--reps", "50", "--threads", "2")
+    assert (code, out) == (2, "")
+    assert err == ("latinhadamard: internal consistency failure: worker for "
+                   "replications 25..49 failed: RuntimeError: worker failed\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["decompose", "--p", "a", "--counts", "-1,2,3,4,5,6,7,8"], "counts must be non-negative"),
+    (["decompose", "--counts", "-1", "--p", "a"], "counts must be non-negative"),
+    (["decompose", "--p", "-0.5,1.5", "--counts", "1,2"], "cell probabilities must lie in (0, 1]"),
+    (["decompose", "--p", "-.5,1.5", "--counts", "1,2"], "cell probabilities must lie in (0, 1]"),
+    (["power", "--alt", "t:2", "--p", "-0.5,1.5"], "cell probabilities must lie in (0, 1]"),
+], ids=["counts", "single-count", "p", "p-leading-dot", "power-p"])
+def test_values_starting_with_a_minus_are_values(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"latinhadamard: error: {message}\n"
 
 
 @pytest.mark.parametrize("command", [["construct", "--w", "1"], ["enumerate", "--w", "2"],

@@ -1,10 +1,17 @@
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from latinhadamard import (DistributionSpec, PowerSimConfig, ProbabilityVector,
+from latinhadamard import (DistributionSpec, InternalConsistencyError,
+                           PowerSimConfig, ProbabilityVector,
                            SignedLatinSquare, SizeError, ValidationError,
                            alternate_signed_square_8, bin_edges,
                            chi_square_critical, color, construct_latin_square,
@@ -167,6 +174,40 @@ class TestSamplers:
         assert x.var() == pytest.approx(5 / 3, rel=0.02)
 
 
+def _set_usable_cpus(monkeypatch, cpus):
+    """Make ``power`` see this many usable CPUs; None: no affinity set and
+    no CPU count."""
+    if cpus is None:
+        monkeypatch.delattr(power.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(power.os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(power.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+
+
+def _record_forks(monkeypatch):
+    """The pids of the children ``power`` forks, recorded in this process."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(power.os, "fork", recording_fork)
+    return pids
+
+
+def _assert_reaped(pids):
+    # waitpid fails on a pid that is no longer a child of this process:
+    # the call has waited for it, so it is no longer running.
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 class TestSimulation:
     def config(self, alt=None, preset="a", reps=2000, seed=42, matrix=None):
         return PowerSimConfig(
@@ -206,38 +247,173 @@ class TestSimulation:
 
     @pytest.mark.parametrize("cpus,workers", [(3, 3), (None, 1)])
     def test_pool_never_exceeds_cpu_count(self, monkeypatch, cpus, workers):
-        started = []
-
-        class RecordingPool(power.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                started.append(max_workers)
-                super().__init__(max_workers=min(max_workers, 3))
-
+        # cpus: the usable CPUs; None: neither an affinity set nor a CPU count.
         cfg = self.config(reps=64)
         baseline = simulate_power(cfg, threads=1)
-        monkeypatch.setattr(power, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(power.os, "cpu_count", lambda: cpus)
+        _set_usable_cpus(monkeypatch, cpus)
+        forked = _record_forks(monkeypatch)
         result = simulate_power(cfg, threads=64)
-        # One chunk per worker; a single chunk runs without a pool.
-        assert started == ([workers] if workers > 1 else [])
+        # One range per worker: this process runs the first and a child
+        # each of the others, so a single range forks nothing.
+        assert len(forked) == workers - 1
         assert np.array_equal(result.rates, baseline.rates)
 
     def test_chunks_never_exceed_cpu_count(self, monkeypatch):
-        calls = []
-        run_block = power._run_block
+        here, forked = [], []
+        run_block, fork_block = power._run_block, power._fork_block
 
         def recording_run_block(*args):
-            calls.append(args[-1])
+            here.append(args[-1])  # a child's calls never reach this list
             return run_block(*args)
+
+        def recording_fork_block(args, rep_range):
+            forked.append(rep_range)
+            return fork_block(args, rep_range)
 
         cfg = self.config(reps=64)
         baseline = simulate_power(cfg, threads=1)
         monkeypatch.setattr(power, "_run_block", recording_run_block)
-        monkeypatch.setattr(power.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(power, "_fork_block", recording_fork_block)
+        _set_usable_cpus(monkeypatch, 2)
         result = simulate_power(cfg, threads=10 ** 6)
-        assert len(calls) <= 2
-        assert sum(len(r) for r in calls) == 64
+        assert here == [range(0, 32)] and forked == [range(32, 64)]
         assert np.array_equal(result.rates, baseline.rates)
+
+    def test_workers_capped_by_affinity_not_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(power.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(power.os, "cpu_count", lambda: 8)
+        forked = _record_forks(monkeypatch)
+        simulate_power(self.config(reps=64), threads=8)
+        assert forked == []
+
+    def test_without_fork_one_worker_runs_everything(self, monkeypatch):
+        cfg = self.config(reps=64)
+        baseline = simulate_power(cfg, threads=1)
+        _set_usable_cpus(monkeypatch, 4)
+        monkeypatch.delattr(power.os, "fork")
+        result = simulate_power(cfg, threads=4)
+        assert np.array_equal(result.rates, baseline.rates)
+
+    def test_process_with_threads_forks_nothing(self, monkeypatch):
+        cfg = self.config(reps=64)
+        baseline = simulate_power(cfg, threads=1)
+        _set_usable_cpus(monkeypatch, 2)
+        forked = _record_forks(monkeypatch)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(60,))
+        waiter.start()
+        try:
+            result = simulate_power(cfg, threads=2)
+        finally:
+            release.set()
+            waiter.join(timeout=60)
+        assert not waiter.is_alive()
+        assert forked == []
+        assert np.array_equal(result.rates, baseline.rates)
+
+    def test_no_worker_outlives_the_call(self, monkeypatch):
+        cfg = self.config(reps=64)
+        _set_usable_cpus(monkeypatch, 2)
+        forked = _record_forks(monkeypatch)
+        simulate_power(cfg, threads=2)
+        assert len(forked) == 1
+        _assert_reaped(forked)
+
+    def test_failing_worker_raises_and_is_reaped(self, monkeypatch):
+        run_block = power._run_block
+
+        def failing_away_from_zero(*args):
+            if args[-1].start != 0:
+                raise RuntimeError("worker\nfailed")
+            return run_block(*args)
+
+        monkeypatch.setattr(power, "_run_block", failing_away_from_zero)
+        _set_usable_cpus(monkeypatch, 2)
+        forked = _record_forks(monkeypatch)
+        with pytest.raises(InternalConsistencyError,
+                           match=r"^worker for replications 32..63 failed: "
+                                 r"RuntimeError: worker failed$"):
+            simulate_power(self.config(reps=64), threads=2)
+        _assert_reaped(forked)
+
+    def test_killed_worker_reports_its_exit_status(self, monkeypatch):
+        run_block = power._run_block
+
+        def killed_away_from_zero(*args):
+            if args[-1].start != 0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_block(*args)
+
+        monkeypatch.setattr(power, "_run_block", killed_away_from_zero)
+        _set_usable_cpus(monkeypatch, 2)
+        with pytest.raises(InternalConsistencyError, match="32..63 failed: exit status -9"):
+            simulate_power(self.config(reps=64), threads=2)
+
+    def test_failure_here_kills_and_reaps_the_workers(self, monkeypatch):
+        run_block = power._run_block
+
+        def failing_at_zero(*args):
+            if args[-1].start == 0:
+                raise RuntimeError("here")
+            time.sleep(60)  # the child is killed long before this ends
+            return run_block(*args)
+
+        monkeypatch.setattr(power, "_run_block", failing_at_zero)
+        _set_usable_cpus(monkeypatch, 3)
+        forked = _record_forks(monkeypatch)
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="here"):
+            simulate_power(self.config(reps=64), threads=3)
+        assert time.monotonic() - started < 30
+        assert len(forked) == 2
+        _assert_reaped(forked)
+
+    def test_failed_fork_runs_the_range_here(self, monkeypatch):
+        pipes = []
+        pipe = os.pipe
+
+        def recording_pipe():
+            pipes.extend(pipe())
+            return pipes[-2:]
+
+        def no_fork():
+            raise BlockingIOError("no process to spare")
+
+        cfg = self.config(reps=64)
+        baseline = simulate_power(cfg, threads=1)
+        _set_usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(power.os, "pipe", recording_pipe)
+        monkeypatch.setattr(power.os, "fork", no_fork)
+        result = simulate_power(cfg, threads=2)
+        assert np.array_equal(result.rates, baseline.rates)
+        assert len(pipes) == 2
+        for fd in pipes:  # both ends were closed again
+            with pytest.raises(OSError):
+                os.fstat(fd)
+
+    def test_stdio_written_before_a_forked_run_appears_once(self, tmp_path):
+        # stdout to a file is block-buffered and stderr line-buffered, so
+        # both texts are still in their buffers when the child is forked.
+        script = (
+            "import os, sys\n"
+            "from latinhadamard import power\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "print('before')\n"
+            "sys.stderr.write('no newline')\n"
+            "cfg = power.PowerSimConfig(null=power.DistributionSpec('normal', (0, 1)),\n"
+            "    alternative=power.DistributionSpec('t', (2,)),\n"
+            "    p=power.preset_probability('b'), n=50, reps=40)\n"
+            "power.simulate_power(cfg, threads=2)\n"
+            "print('after')\n")
+        out, err = tmp_path / "out.txt", tmp_path / "err.txt"
+        env = {name: value for name, value in os.environ.items()
+               if name != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        with open(out, "w") as stdout, open(err, "w") as stderr:
+            subprocess.run([sys.executable, "-c", script], stdout=stdout,
+                           stderr=stderr, env=env, check=True, timeout=120)
+        assert out.read_text() == "before\nafter\n"
+        assert err.read_text() == "no newline"
 
     def test_seed_changes_results(self):
         a = simulate_power(self.config(seed=1, reps=500))
