@@ -12,7 +12,7 @@ table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +72,7 @@ class AlgebraTable:
         return f"AlgebraTable(dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class ZeroDivisorPair:
+class ZeroDivisorPair(NamedTuple):
     """(e_i + s1*e_j)(e_k + s2*e_l) = 0, all indices >= 2, 1-based."""
 
     i: int
@@ -133,8 +132,7 @@ def find_zero_divisors(table: AlgebraTable):
         i, j, k, l = found.T
         for (a, b, c, d), sign in zip(found.tolist(), (G[j, k] * G[i, l]).tolist()):
             for s1 in (1, -1):
-                yield ZeroDivisorPair(i=a + 1, j=b + 1, s1=s1, k=c + 1, l=d + 1,
-                                      s2=-s1 * sign)
+                yield ZeroDivisorPair(a + 1, b + 1, s1, c + 1, d + 1, -s1 * sign)
 
 
 def radon(n: int) -> int:

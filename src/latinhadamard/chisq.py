@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coloring import SignedLatinSquare, color, is_latin_hadamard
-from .errors import InternalConsistencyError, ValidationError
-from .latin import construct_latin_square
+from .errors import InternalConsistencyError, SizeError, ValidationError
+from .latin import SQUARE_MAX_W, construct_latin_square
 
 __all__ = [
     "ProbabilityVector", "CellCounts", "Eigenbasis", "Decomposition",
@@ -84,7 +84,7 @@ class ProbabilityVector:
 
 @dataclass(frozen=True, eq=False)
 class CellCounts:
-    """Observed multinomial cell frequencies."""
+    """Observed multinomial cell frequencies, at least one observation in all."""
 
     m: np.ndarray
     n: int = field(init=False)
@@ -105,6 +105,8 @@ class CellCounts:
         n = sum(map(int, values))
         if n > _COUNT_TOTAL_MAX:
             raise ValidationError("counts must total at most 2**63 - 1")
+        if n < 1:
+            raise ValidationError("need at least one observation")
         arr = np.array(values, dtype=np.int64)
         arr.setflags(write=False)
         object.__setattr__(self, "m", arr)
@@ -188,8 +190,6 @@ def scaled_residuals(m: CellCounts, p: ProbabilityVector) -> np.ndarray:
 
 
 def _scaled_residuals(m: CellCounts, expected: np.ndarray) -> np.ndarray:
-    if m.n < 1:
-        raise ValidationError("need at least one observation")
     return (m.m - expected) / np.sqrt(expected)
 
 
@@ -237,7 +237,7 @@ def eigenbasis_from_sign_matrix(signs: np.ndarray,
 
 
 def decompose(m: CellCounts, p: ProbabilityVector, basis: Eigenbasis) -> Decomposition:
-    """Project scaled residuals onto the basis columns 2..k.
+    """Project scaled residuals onto columns 2..k of a basis built for p.
 
     The first-column term is omitted because it is identically zero
     (count conservation); the remaining squares sum to X^2 exactly, and
@@ -245,8 +245,8 @@ def decompose(m: CellCounts, p: ProbabilityVector, basis: Eigenbasis) -> Decompo
     directly over the cells rather than from the residuals.
     """
     _check_dims(m, p)
-    if basis.k != p.k:
-        raise ValidationError("basis does not match the number of cells")
+    if basis.p is not p and not np.array_equal(basis.p.p, p.p):
+        raise ValidationError("basis was built for other cell probabilities")
     expected = m.n * p.p
     with np.errstate(over="ignore"):
         y = _scaled_residuals(m, expected)
@@ -333,8 +333,10 @@ def eigen_interlacing_check(p: ProbabilityVector) -> bool:
 
 
 def sylvester_hadamard(w: int) -> np.ndarray:
-    """Standard-form +/-1 matrix of order 2**w via [[H, H], [H, -H]]."""
-    if w < 0 or int(w) != w:
+    """Standard-form +/-1 matrix of order 2**w via [[H, H], [H, -H]], w <= SQUARE_MAX_W."""
+    if w > SQUARE_MAX_W:
+        raise SizeError(f"order exponent is limited to {SQUARE_MAX_W}, got {w!r}")
+    if not w >= 0 or int(w) != w:
         raise ValidationError(f"order exponent must be a non-negative integer, got {w!r}")
     H = np.array([[1]], dtype=np.int64)
     for _ in range(int(w)):

@@ -24,8 +24,8 @@ from .chisq import (CellCounts, ProbabilityVector, canonical_signed_square_8,
 from .design import builtin_design_16, design_to_eigenbasis, verify_design
 from .errors import InternalConsistencyError, SizeError, ValidationError
 from .latin import construct_latin_square
-from .power import (DistributionSpec, PowerSimConfig, preset_probability,
-                    simulate_power)
+from .power import (PRESET_WEIGHTS, DistributionSpec, PowerSimConfig,
+                    preset_probability, simulate_power)
 
 __all__ = ["main", "run"]
 
@@ -85,7 +85,7 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _parse_probability(text: str) -> ProbabilityVector:
-    if text in ("a", "b", "c"):
+    if text in PRESET_WEIGHTS:
         return preset_probability(text)
     return ProbabilityVector(_parse_floats(text))
 
@@ -319,7 +319,7 @@ def _build_parser() -> _Parser:
     dec = sub.add_parser("decompose", parents=[common],
                          help="component decomposition of observed counts")
     dec.add_argument("--p", required=True,
-                     help="comma-separated probabilities or preset a|b|c")
+                     help=f"comma-separated probabilities or preset {'|'.join(PRESET_WEIGHTS)}")
     dec.add_argument("--counts", required=True, help="comma-separated cell counts")
     dec.add_argument("--matrix", default=None,
                      help="matrix file or builtin:<index> (default: canonical)")
@@ -331,7 +331,7 @@ def _build_parser() -> _Parser:
                     help="null distribution, e.g. normal:0,1")
     pw.add_argument("--alt", required=True,
                     help="alternative distribution, e.g. normal:0,1.3 t:2 gamma:5,0.2")
-    pw.add_argument("--preset", choices=("a", "b", "c"), default=None)
+    pw.add_argument("--preset", choices=tuple(PRESET_WEIGHTS), default=None)
     pw.add_argument("--p", default=None, help="explicit probabilities if no preset")
     pw.add_argument("--n", type=int, default=200)
     pw.add_argument("--reps", type=int, default=10000)

@@ -58,13 +58,13 @@ class SignedLatinSquare:
     The signed entry H[i,j] = signs[i,j] * S[i,j] carries both pieces;
     |H| is always the underlying square.  First row and first column are
     positive and the diagonal below row one is negative, as produced by
-    the coloring procedure.
+    the coloring procedure.  ``choices`` is None unless the square came
+    from :func:`color` or :func:`enumerate_colorings`.
     """
 
     __slots__ = ("square", "signs", "choices")
 
-    def __init__(self, square: LatinSquare, signs: np.ndarray,
-                 choices: tuple[int, ...] | None = None):
+    def __init__(self, square: LatinSquare, signs: np.ndarray):
         n = square.n
         sgn = np.asarray(signs, dtype=np.int64)
         _check_signs(sgn, (n, n))
@@ -72,7 +72,7 @@ class SignedLatinSquare:
         sgn.setflags(write=False)
         self.square = square
         self.signs = sgn
-        self.choices = None if choices is None else tuple(int(c) for c in choices)
+        self.choices = None
 
     @classmethod
     def _checked_block(cls, square: LatinSquare, signs: np.ndarray, choices):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chisq import PROBABILITY_SUM_TOL, Eigenbasis, ProbabilityVector
+from .chisq import Eigenbasis, ProbabilityVector
 from .coloring import SignedLatinSquare, color
 from .errors import ValidationError
 from .latin import construct_latin_square, quad_sign_products
@@ -109,13 +109,9 @@ def design_to_eigenbasis(design: OrthogonalDesign, p_vars) -> Eigenbasis:
     if values.shape != (design.num_vars,):
         raise ValidationError(
             f"need {design.num_vars} variable probabilities, got {values.shape}")
-    # Bounded above before the weighted sum, which could overflow; nan fails too.
-    if not all(0 < v <= 1 for v in values.tolist()):
-        raise ValidationError("variable probabilities must lie in (0, 1]")
-    norm = float(np.dot(design.type, values))
-    if abs(norm - 1.0) > PROBABILITY_SUM_TOL:
-        raise ValidationError(
-            f"type-weighted sum of variable probabilities must be 1 (got {norm!r})")
+    # phi has no gaps, so every variable is some cell's probability, and
+    # the cells sum to sum_i s_i * p_vars_i: their checks cover p_vars.
+    p = ProbabilityVector(values[design.variables - 1])
     A = design.entries
     substituted = np.sign(A) * np.sqrt(values)[np.abs(A) - 1]
-    return Eigenbasis(substituted.T, ProbabilityVector(values[design.variables - 1]))
+    return Eigenbasis(substituted.T, p)

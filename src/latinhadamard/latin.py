@@ -12,7 +12,7 @@ structure is what later makes signed versions orthogonal.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +21,8 @@ from .errors import InternalConsistencyError, SizeError, ValidationError
 __all__ = ["LatinSquare", "CornerQuad", "construct_latin_square",
            "quad_sign_products", "enumerate_abba_quads"]
 
+# Largest square exponent built: a 2**10 x 2**10 int64 square is 8 MiB.
+SQUARE_MAX_W = 10
 # Largest square the quad kernel closes: n = 2**7, the census ceiling.
 QUAD_MAX_N = 128
 
@@ -69,8 +71,7 @@ class LatinSquare:
         return f"LatinSquare(w={self.w}, n={self.n})"
 
 
-@dataclass(frozen=True)
-class CornerQuad:
+class CornerQuad(NamedTuple):
     """Four entries S[i1,j1]=S[i2,j2]=a and S[i1,j2]=S[i2,j1]=b (1-based)."""
 
     i1: int
@@ -87,9 +88,12 @@ def construct_latin_square(w: int) -> LatinSquare:
 
     Base case is the 1x1 matrix [[1]]; each doubling step places the
     previous square on the diagonal blocks and its shift by 2**(w-1) on
-    the off-diagonal blocks.
+    the off-diagonal blocks.  Exponents above SQUARE_MAX_W raise
+    SizeError before anything is allocated.
     """
-    if w < 0 or int(w) != w:
+    if w > SQUARE_MAX_W:
+        raise SizeError(f"dimension exponent is limited to {SQUARE_MAX_W}, got {w!r}")
+    if not w >= 0 or int(w) != w:
         raise ValidationError(f"dimension exponent must be a non-negative integer, got {w!r}")
     w = int(w)
     block = np.array([[1]], dtype=np.int64)
@@ -184,5 +188,4 @@ def enumerate_abba_quads(square: LatinSquare):
         raise InternalConsistencyError(
             "AB-BA partner missing; the square does not have the corner property")
     for j1, j2, i1, i2 in quads.tolist():
-        yield CornerQuad(i1=i1 + 1, j1=j1 + 1, i2=i2 + 1, j2=j2 + 1,
-                         a=int(S[i1, j1]), b=int(S[i1, j2]))
+        yield CornerQuad(i1 + 1, j1 + 1, i2 + 1, j2 + 1, int(S[i1, j1]), int(S[i1, j2]))

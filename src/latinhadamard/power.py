@@ -64,7 +64,8 @@ def preset_probability(name: str) -> ProbabilityVector:
     try:
         weights = PRESET_WEIGHTS[name]
     except KeyError:
-        raise ValidationError(f"unknown preset {name!r}; choose from a, b, c") from None
+        raise ValidationError(
+            f"unknown preset {name!r}; choose from {', '.join(PRESET_WEIGHTS)}") from None
     return ProbabilityVector.proportional_to(weights)
 
 
@@ -414,10 +415,7 @@ def simulate_power(cfg: PowerSimConfig, threads: int = 1) -> PowerSimResult:
     size = math.ceil(cfg.reps / workers)
     ranges = [range(start, min(start + size, cfg.reps))
               for start in range(0, cfg.reps, size)]
-    if len(ranges) == 1:
-        totals = _run_block(*args, ranges[0])
-    else:
-        totals = _run_forked(args, ranges)
+    totals = _run_forked(args, ranges)
 
     rates = totals / cfg.reps
     ses = np.sqrt(rates * (1.0 - rates) / cfg.reps)

@@ -205,6 +205,7 @@ def test_table_validation():
 
     zd = ZeroDivisorPair(i=2, j=3, s1=-1, k=4, l=5, s2=1)
     assert str(zd) == "(e_2 - e_3)(e_4 + e_5) = 0"
+    assert zd == (2, 3, -1, 4, 5, 1)  # a record is a plain tuple of its fields
 
 
 def test_table_checks_its_symbols():

@@ -70,6 +70,18 @@ class TestInputs:
             with pytest.raises(ValidationError, match="^weights must have a finite sum$"):
                 ProbabilityVector.proportional_to(weights)
 
+    @pytest.mark.parametrize("use", [
+        lambda m, p: m,
+        pearson_x2,
+        component_formulas_t2_t6_t8,
+    ], ids=["CellCounts", "pearson_x2", "component_formulas_t2_t6_t8"])
+    def test_zero_total_rejected_without_warning(self, use):
+        p = ProbabilityVector.equiprobable(8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="at least one observation"):
+                use(CellCounts([0] * 8), p)
+
     def test_sum_message_shows_a_python_float(self):
         with pytest.raises(ValidationError) as info:
             ProbabilityVector([0.5, 0.1])
@@ -246,6 +258,20 @@ class TestDecompose:
         assert result.x2 == pearson_x2(m, p)
         with pytest.raises(ValidationError, match="counts have 4 cells"):
             decompose(CellCounts([1, 2, 3, 4]), p, basis)
+
+    def test_basis_for_other_probabilities_rejected(self):
+        p = ProbabilityVector.proportional_to([1, 2, 3, 4, 4, 3, 2, 1])
+        m = CellCounts([10, 20, 30, 40, 40, 30, 20, 10])
+        H = canonical_signed_square_8()
+        equiprobable = eigenbasis_from_latin_hadamard(H, ProbabilityVector.equiprobable(8))
+        four_cells = eigenbasis_from_sign_matrix(sylvester_hadamard(2),
+                                                 ProbabilityVector.equiprobable(4))
+        for basis in (equiprobable, four_cells):
+            with pytest.raises(ValidationError, match="built for other cell probabilities"):
+                decompose(m, p, basis)
+        # a basis built for an equal vector, not the same object, is accepted
+        basis = eigenbasis_from_latin_hadamard(H, ProbabilityVector(p.p))
+        assert decompose(m, p, basis).x2 == pearson_x2(m, p)
 
     def test_empty_counts_rejected(self):
         p = ProbabilityVector.equiprobable(2)

@@ -5,7 +5,8 @@ import pytest
 
 from latinhadamard import (InternalConsistencyError, SizeError, ValidationError,
                            construct_latin_square, enumerate_abba_quads,
-                           quad_sign_products)
+                           quad_sign_products, sylvester_hadamard)
+from latinhadamard import latin
 from latinhadamard.latin import CornerQuad, LatinSquare
 
 from reference_tables import LATIN_SQUARE_16
@@ -93,6 +94,7 @@ def test_partner_examples():
     assert (q.i2, q.a, q.b) == (2, 3, 4)
     q = find_abba_partner(construct_latin_square(1), 1, 1, 2)
     assert q.i2 == 2
+    assert q == (1, 1, 2, 2, 1, 2)  # a record is a plain tuple of its fields
 
 
 @pytest.mark.parametrize("w", (1, 2, 3))
@@ -221,6 +223,26 @@ def test_quad_kernel_size_guard():
     # rejected before anything n**3 is allocated
     with pytest.raises(SizeError):
         quad_sign_products(np.ones((256, 256), dtype=np.int64), np.ones((256, 256)))
+
+
+@pytest.mark.parametrize("build", (construct_latin_square, sylvester_hadamard))
+def test_square_exponent_ceiling(build):
+    # rejected before the 2**w x 2**w int64 matrix is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError, match=f"limited to {latin.SQUARE_MAX_W}"):
+            build(latin.SQUARE_MAX_W + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("build", (construct_latin_square, sylvester_hadamard))
+@pytest.mark.parametrize("w", (-1, 2.5, float("nan")))
+def test_exponent_must_be_a_non_negative_integer(build, w):
+    with pytest.raises(ValidationError, match="non-negative integer"):
+        build(w)
 
 
 def test_quad_kernel_memory_at_the_size_limit():
