@@ -12,6 +12,7 @@ table.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -137,7 +138,7 @@ def find_zero_divisors(table: AlgebraTable):
 
 def radon(n: int) -> int:
     """Radon's function: for n = 2**(4c+d) * odd, 0 <= d < 4, returns 8c + 2**d."""
-    if n < 1 or int(n) != n:
+    if not n >= 1 or n == math.inf or int(n) != n:
         raise ValidationError(f"argument must be a positive integer, got {n!r}")
     n = int(n)
     a = 0

@@ -46,9 +46,13 @@ class ProbabilityVector:
     p: np.ndarray
 
     def __init__(self, p):
-        arr = np.asarray(p, dtype=float)
+        message = "need a flat vector of at least two probabilities"
+        try:
+            arr = np.asarray(p, dtype=float)
+        except (TypeError, ValueError):  # ragged, or entries that are not numbers
+            raise ValidationError(message) from None
         if arr.ndim != 1 or arr.size < 2:
-            raise ValidationError("need a flat vector of at least two probabilities")
+            raise ValidationError(message)
         # Bounded above before the sum, which could overflow; nan fails too.
         if not all(0 < v <= 1 for v in arr.tolist()):
             raise ValidationError("cell probabilities must lie in (0, 1]")
@@ -90,7 +94,10 @@ class CellCounts:
     n: int = field(init=False)
 
     def __init__(self, m):
-        arr = np.asarray(m)
+        try:
+            arr = np.asarray(m)
+        except ValueError:  # ragged
+            raise ValidationError("counts must be a flat vector") from None
         if arr.ndim != 1:
             raise ValidationError("counts must be a flat vector")
         # Checked as Python numbers, so that no entry and no total wraps

@@ -9,6 +9,7 @@ humans only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -19,8 +20,7 @@ import numpy as np
 
 from . import coloring
 from .algebra import cayley_dickson_table, find_zero_divisors, table_from_signed_square
-from .chisq import (CellCounts, ProbabilityVector, canonical_signed_square_8,
-                    decompose, eigenbasis_from_latin_hadamard)
+from .chisq import CellCounts, ProbabilityVector, decompose, eigenbasis_from_latin_hadamard
 from .design import builtin_design_16, design_to_eigenbasis, verify_design
 from .errors import InternalConsistencyError, SizeError, ValidationError
 from .latin import construct_latin_square
@@ -90,9 +90,22 @@ def _parse_probability(text: str) -> ProbabilityVector:
     return ProbabilityVector(_parse_floats(text))
 
 
+@functools.cache
+def _builtin_square(index: int) -> coloring.SignedLatinSquare:
+    """Coloring ``index`` of the 8x8 square, built once per process.
+
+    All 16 colorings of the 8x8 square are Latin-Hadamard, so the i-th
+    valid matrix in enumeration order is coloring i itself.  Callers
+    check 0 <= index < 16 first, which bounds the cache at 16 squares;
+    each is immutable, so sharing it between calls is safe.
+    """
+    return coloring.color(construct_latin_square(3),
+                          coloring.choices_from_bitstring(format(index, "04b")))
+
+
 def _load_matrix(source: str | None) -> coloring.SignedLatinSquare:
     if source is None:
-        return canonical_signed_square_8()
+        return _builtin_square(13)  # canonical_signed_square_8(), choices 1101
     if source.startswith("builtin:"):
         token = source.split(":", 1)[1]
         try:
@@ -101,10 +114,7 @@ def _load_matrix(source: str | None) -> coloring.SignedLatinSquare:
             raise ValidationError(f"bad builtin matrix index {token!r}") from None
         if not 0 <= index < 16:
             raise ValidationError(f"builtin index must be 0..15, got {index}")
-        # All 16 colorings of the 8x8 square are Latin-Hadamard, so the
-        # i-th valid matrix in enumeration order is coloring i itself.
-        return coloring.color(construct_latin_square(3),
-                              coloring.choices_from_bitstring(format(index, "04b")))
+        return _builtin_square(index)
     try:
         with open(source, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -275,7 +285,10 @@ def _cmd_power(args) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argparse tree, built on the first run and reused: parse_args
+    keeps nothing between calls, as each returns a fresh Namespace."""
     parser = _Parser(prog="latinhadamard",
                      description="Signed Latin squares, chi-square components, "
                                  "and their algebraic obstructions")

@@ -105,7 +105,11 @@ def design_to_eigenbasis(design: OrthogonalDesign, p_vars) -> Eigenbasis:
     sum_i s_i * p_vars_i = 1 so that the columns have unit norm; cell a
     has probability p_vars of the variable its symbol is tied to.
     """
-    values = np.asarray(p_vars, dtype=float)
+    try:
+        values = np.asarray(p_vars, dtype=float)
+    except (TypeError, ValueError):  # ragged, or entries that are not numbers
+        raise ValidationError(f"need {design.num_vars} variable probabilities, "
+                              "got entries that are not numbers") from None
     if values.shape != (design.num_vars,):
         raise ValidationError(
             f"need {design.num_vars} variable probabilities, got {values.shape}")

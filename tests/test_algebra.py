@@ -1,3 +1,4 @@
+import re
 from itertools import permutations
 
 import numpy as np
@@ -188,6 +189,13 @@ def test_radon_fixed_points_up_to_64():
 def test_radon_rejects_bad_input():
     with pytest.raises(ValidationError):
         radon(0)
+
+
+@pytest.mark.parametrize("n", [float("nan"), float("inf"), float("-inf"), np.inf, 2.5])
+def test_radon_rejects_non_integers_with_its_message(n):
+    with pytest.raises(ValidationError,
+                       match=f"^{re.escape(f'argument must be a positive integer, got {n!r}')}$"):
+        radon(n)
 
 
 def test_table_validation():

@@ -32,6 +32,16 @@ class TestInputs:
         with pytest.raises(ValidationError):
             ProbabilityVector([1.0])
 
+    @pytest.mark.parametrize("p", [["a", "b"], [[0.5], [0.25, 0.25]], [{}, 0.5]])
+    def test_probabilities_that_are_not_numbers_rejected(self, p):
+        with pytest.raises(ValidationError,
+                           match="^need a flat vector of at least two probabilities$"):
+            ProbabilityVector(p)
+
+    def test_ragged_counts_rejected(self):
+        with pytest.raises(ValidationError, match="^counts must be a flat vector$"):
+            CellCounts([[1], [2, 3]])
+
     def test_proportional_and_equiprobable(self):
         p = ProbabilityVector.proportional_to([1, 2, 3, 4])
         assert np.allclose(p.p, [0.1, 0.2, 0.3, 0.4])

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,8 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import latinhadamard
-from latinhadamard import (canonical_signed_square_8, cli, construct_latin_square,
-                           enumerate_colorings, power)
+from latinhadamard import (ValidationError, canonical_signed_square_8, cli, coloring,
+                           construct_latin_square, enumerate_colorings, power)
 from latinhadamard.cli import run
 from latinhadamard.power import BLOCK_DRAWS, MAX_REPS
 
@@ -463,6 +464,84 @@ def test_builtin_index_errors(capsys, spec, message):
                   "--matrix", spec]):
         code, out, err = invoke(capsys, *argv)
         assert (code, out, err) == (1, "", f"latinhadamard: error: {message}\n")
+
+
+def test_builtin_squares_are_built_once_and_read_only():
+    square = construct_latin_square(3)
+    for i in range(16):
+        H = cli._load_matrix(f"builtin:{i}")
+        assert cli._load_matrix(f"builtin:{i}") is H
+        assert H == coloring.color(square, coloring.choices_from_bitstring(format(i, "04b")))
+        for arr in (H.signs, H.square.entries):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = arr[0, 0]
+    assert cli._load_matrix(None) is cli._load_matrix("builtin:13")
+    assert cli._load_matrix(None) == canonical_signed_square_8()
+    for spec, message in (("builtin:16", "builtin index must be 0..15, got 16"),
+                          ("builtin:-1", "builtin index must be 0..15, got -1"),
+                          ("builtin:x", "bad builtin matrix index 'x'")):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            cli._load_matrix(spec)
+    assert cli._builtin_square.cache_info().currsize <= 16
+
+
+def _mixed_session(tmp_path, monkeypatch):
+    """One call of every subcommand, help, usage errors, --out, an LH_SEED
+    override and a malformed matrix file, each as (exit code, stdout,
+    stderr, --out file text)."""
+    ragged = tmp_path / "ragged.json"
+    ragged.write_text(json.dumps([[1, 2], [2]]))
+    out_file = tmp_path / "out.txt"
+    power_argv = ["power", "--alt", "t:2", "--preset", "a", "--reps", "50", "--format", "json"]
+    calls = [
+        (None, ["construct", "--w", "2", "--format", "csv"]),
+        (None, ["construct", "--w", "1", "--format", "json", "--out", str(out_file)]),
+        (None, ["enumerate", "--w", "2", "--valid-only"]),
+        (None, ["algebra", "--dim", "8", "--report", "zero-divisors", "--format", "csv"]),
+        (None, ["algebra", "--from-coloring", "builtin:5"]),
+        (None, ["design", "--verify"]),
+        (None, ["decompose", "--p", "b", "--counts", "10,20,30,40,40,30,20,10"]),
+        (None, ["decompose", "--p", "a", "--counts", "25,25,25,25,25,25,25,25",
+                "--matrix", "builtin:2", "--out", str(out_file)]),
+        (None, ["decompose", "--p", "a", "--counts", "25,25,25,25,25,25,25,25",
+                "--matrix", str(ragged)]),
+        ("999", power_argv),
+        (None, power_argv),
+        (None, ["--help"]),
+        (None, ["power", "-h"]),
+        (None, ["construct", "--w", "2", "--bogus"]),
+        (None, ["decompose", "--p", "a"]),
+        (None, []),
+        (None, ["construct", "--w", "2"]),
+    ]
+    results = []
+    for lh_seed, argv in calls:
+        with monkeypatch.context() as m:
+            m.delenv("LH_SEED", raising=False)
+            if lh_seed:
+                m.setenv("LH_SEED", lh_seed)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+        written = out_file.read_text() if out_file.exists() else None
+        out_file.unlink(missing_ok=True)
+        results.append((code, out.getvalue(), err.getvalue(), written))
+    return results
+
+
+def test_cached_parser_carries_nothing_between_calls(tmp_path, monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    first = _mixed_session(tmp_path, monkeypatch)
+    assert _mixed_session(tmp_path, monkeypatch) == first
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        assert _mixed_session(tmp_path, monkeypatch) == first
+    codes = [code for code, *_ in first]
+    assert codes == [0] * 8 + [1] + [0] * 4 + [1] * 3 + [0]
+    assert json.loads(first[9][1])["config"]["seed"] == 999
+    assert json.loads(first[10][1])["config"]["seed"] == 0
+    assert first[1][3] is not None and first[7][3] is not None
 
 
 def _assert_decompose_answers(spec):

@@ -166,6 +166,13 @@ def test_input_validation():
         design_to_eigenbasis(design, np.full(4, 0.25))
 
 
+@pytest.mark.parametrize("p_vars", [["a"] * 9, [[0.1], [0.1, 0.1]] + [0.1] * 7])
+def test_variable_probabilities_that_are_not_numbers_rejected(p_vars):
+    with pytest.raises(ValidationError, match="^need 9 variable probabilities, got entries "
+                                              "that are not numbers$"):
+        design_to_eigenbasis(builtin_design_16(), p_vars)
+
+
 def test_variable_probabilities_above_one_rejected_without_overflow():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
