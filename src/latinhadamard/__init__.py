@@ -26,9 +26,8 @@ from .design import (DESIGN_16_CELL_VARIABLES, OrthogonalDesign, builtin_design_
 from .errors import InternalConsistencyError, SizeError, ValidationError
 from .latin import (CornerQuad, LatinSquare, construct_latin_square,
                     enumerate_abba_quads, quad_sign_products)
-from .power import (BinningScheme, DistributionSpec, PowerSimConfig,
-                    PowerSimResult, bin_edges, chi_square_critical,
-                    matched_normal_null, normal_critical, normal_quantile,
-                    preset_probability, simulate_power)
+from .power import (BinningScheme, DistributionSpec, PowerSimConfig, PowerSimResult,
+                    bin_edges, chi_square_critical, matched_normal_null,
+                    normal_critical, preset_probability, simulate_power)
 
 __version__ = "0.1.0"

@@ -30,24 +30,19 @@ class AlgebraTable:
 
     1-based basis labels; e_1 is the unit and every other basis element
     squares to -e_1.  Indices and signs are those of the signed square,
-    which has already checked the Latin property and the signs of the
-    first row, first column and diagonal; only the symbols are checked
-    here.
+    which has already checked the Latin property and the signs; the unit
+    structure of its square decides the rest.
     """
 
     __slots__ = ("dim", "signs", "indices")
 
     def __init__(self, signed: SignedLatinSquare):
-        indices = signed.square.entries
-        dim = signed.n
-        symbols = np.arange(1, dim + 1)
-        if not ((indices[0] == symbols).all() and (indices[:, 0] == symbols).all()):
+        unit, squares_to_unit = signed.square.unit_structure
+        if not unit:
             raise ValidationError("e_1 must act as a two-sided unit")
-        if not (np.diag(indices)[1:] == 1).all():
+        if not squares_to_unit:
             raise ValidationError("non-unit basis elements must square to -e_1")
-        self.dim = dim
-        self.signs = signed.signs
-        self.indices = indices
+        self.dim, self.signs, self.indices = signed.n, signed.signs, signed.square.entries
 
     def multiply(self, a, b) -> np.ndarray:
         """Bilinear product of integer coefficient vectors, exact."""

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coloring import SignedLatinSquare, color, is_latin_hadamard
-from .errors import InternalConsistencyError, SizeError, ValidationError
-from .latin import SQUARE_MAX_W, construct_latin_square
+from .errors import InternalConsistencyError, ValidationError
+from .latin import _exponent, construct_latin_square
 
 __all__ = [
     "ProbabilityVector", "CellCounts", "Eigenbasis", "Decomposition",
@@ -341,12 +341,8 @@ def eigen_interlacing_check(p: ProbabilityVector) -> bool:
 
 def sylvester_hadamard(w: int) -> np.ndarray:
     """Standard-form +/-1 matrix of order 2**w via [[H, H], [H, -H]], w <= SQUARE_MAX_W."""
-    if w > SQUARE_MAX_W:
-        raise SizeError(f"order exponent is limited to {SQUARE_MAX_W}, got {w!r}")
-    if not w >= 0 or int(w) != w:
-        raise ValidationError(f"order exponent must be a non-negative integer, got {w!r}")
     H = np.array([[1]], dtype=np.int64)
-    for _ in range(int(w)):
+    for _ in range(_exponent(w)):
         H = np.block([[H, H], [H, -H]])
     H.setflags(write=False)
     return H

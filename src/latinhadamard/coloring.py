@@ -21,7 +21,8 @@ import functools
 import numpy as np
 
 from .errors import SizeError, ValidationError
-from .latin import LatinSquare, construct_latin_square, quad_sign_products
+from .latin import (SQUARE_MAX_W, LatinSquare, _integers, construct_latin_square,
+                    quad_sign_products)
 
 __all__ = [
     "SignedLatinSquare", "num_free_choices",
@@ -35,20 +36,15 @@ EXHAUSTIVE_MAX_W = 4
 _FIRST_LEVEL = np.array([[1, 1], [1, -1]], dtype=np.int64)
 
 
-def _check_signs(sgn: np.ndarray, shape: tuple[int, ...]) -> None:
-    """Shape, +/-1 entries, positive first row and column, negative diagonal.
-
-    sgn is one n x n sign matrix or a stack of them along a leading axis.
-    """
-    if sgn.shape != shape:
-        raise ValidationError(f"sign matrix must be {'x'.join(map(str, shape))}, "
-                              f"got {sgn.shape}")
+def _check_signs(sgn: np.ndarray) -> None:
+    """+/-1 entries, positive first row and column, negative diagonal, in
+    one n x n sign matrix or in a stack of them along a leading axis."""
     if not (np.abs(sgn) == 1).all():
         raise ValidationError("sign matrix entries must be +1 or -1")
     if not (sgn[..., 0, :] == 1).all() or not (sgn[..., :, 0] == 1).all():
         raise ValidationError("first row and first column must be positive")
-    n = shape[-1]
-    if not (sgn.reshape(shape[:-2] + (n * n,))[..., n + 1::n + 1] == -1).all():
+    n = sgn.shape[-1]
+    if not (sgn.reshape(sgn.shape[:-2] + (n * n,))[..., n + 1::n + 1] == -1).all():
         raise ValidationError("diagonal entries below row one must be negative")
 
 
@@ -65,14 +61,10 @@ class SignedLatinSquare:
     __slots__ = ("square", "signs", "choices")
 
     def __init__(self, square: LatinSquare, signs: np.ndarray):
-        n = square.n
-        sgn = np.asarray(signs, dtype=np.int64)
-        _check_signs(sgn, (n, n))
-        sgn = sgn.copy()
+        sgn = _integers(signs, "sign matrix entries", -1, 1, (square.n, square.n))
+        _check_signs(sgn)
         sgn.setflags(write=False)
-        self.square = square
-        self.signs = sgn
-        self.choices = None
+        self.square, self.signs, self.choices = square, sgn, None
 
     @classmethod
     def _checked_block(cls, square: LatinSquare, signs: np.ndarray, choices):
@@ -81,7 +73,7 @@ class SignedLatinSquare:
         signs is an (m, n, n) int64 block; the squares share its memory
         read-only and take the choice tuples as given.
         """
-        _check_signs(signs, (len(choices), square.n, square.n))
+        _check_signs(signs)
         signs.setflags(write=False)
         out = []
         for sgn, chosen in zip(signs, choices):
@@ -113,24 +105,10 @@ class SignedLatinSquare:
         The entries must form a square array of integers (integral floats
         such as 3.0 are accepted) whose magnitudes make a Latin square.
         """
-        try:
-            raw = np.asarray(entries)
-        except ValueError:
-            raise ValidationError("signed matrix must be a rectangular array of numbers") from None
-        if raw.dtype.kind not in "iuf":
-            raise ValidationError("signed matrix must be a rectangular array of numbers")
-        if raw.dtype.kind == "f" and not (np.isfinite(raw) & (raw == np.rint(raw))).all():
-            raise ValidationError("signed matrix entries must be integers")
-        if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
-            raise ValidationError("signed matrix must be square")
-        n = raw.shape[0]
-        w = int(n).bit_length() - 1
-        if 2 ** w != n:
-            raise ValidationError(f"dimension must be a power of two, got {n}")
-        # Screened before the cast, which would wrap or warn beyond int64.
-        if not (np.abs(raw) <= n).all():
-            raise ValidationError(f"signed matrix entries must lie in -{n}..{n}")
-        arr = raw.astype(np.int64)
+        arr = _integers(entries, "signed matrix entries", -2 ** SQUARE_MAX_W, 2 ** SQUARE_MAX_W)
+        w = (arr.shape[0] if arr.ndim == 2 else 0).bit_length() - 1
+        if arr.shape != (2 ** w, 2 ** w):
+            raise ValidationError(f"signed matrix must be square of order 2**w, got {arr.shape}")
         return cls(LatinSquare(w, np.abs(arr)), np.sign(arr))
 
     def __eq__(self, other) -> bool:
@@ -223,13 +201,14 @@ def color(square: LatinSquare, choices) -> SignedLatinSquare:
     increasing row index within the level.
     """
     w = square.w
-    choices = tuple(int(c) for c in choices)
+    choices = tuple(choices)
     expected = num_free_choices(w)
     if len(choices) != expected:
         raise ValidationError(
             f"need exactly {expected} choices for w={w}, got {len(choices)}")
-    if not all(c in (-1, 1) for c in choices):
+    if not all(c in (-1, 1) for c in choices):  # before int() truncates 1.9 to 1
         raise ValidationError("choices must be +1 or -1")
+    choices = tuple(map(int, choices))
     if square != construct_latin_square(w):
         raise ValidationError("colorings are defined on the structured square only")
     signs = _double_signs(w, np.array([(1,) + choices], dtype=np.int64))

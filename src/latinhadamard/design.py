@@ -22,7 +22,7 @@ import numpy as np
 from .chisq import Eigenbasis, ProbabilityVector
 from .coloring import SignedLatinSquare, color
 from .errors import ValidationError
-from .latin import construct_latin_square, quad_sign_products
+from .latin import _integers, construct_latin_square, quad_sign_products
 
 __all__ = ["OrthogonalDesign", "builtin_design_16", "verify_design",
            "design_to_eigenbasis", "DESIGN_16_CELL_VARIABLES"]
@@ -40,10 +40,8 @@ class OrthogonalDesign:
     __slots__ = ("signed", "variables", "order", "num_vars", "entries", "type")
 
     def __init__(self, signed: SignedLatinSquare, variables):
-        phi = np.array(variables, dtype=np.int64)
         n = signed.n
-        if phi.shape != (n,):
-            raise ValidationError(f"need one variable per symbol ({n}), got shape {phi.shape}")
+        phi = _integers(variables, "variables (one per symbol)", 1, n, (n,))
         l = int(phi.max())
         if not np.array_equal(np.unique(phi), np.arange(1, l + 1)):
             raise ValidationError("variable indices must be 1..l without gaps")

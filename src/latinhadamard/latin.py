@@ -12,6 +12,7 @@ structure is what later makes signed versions orthogonal.
 from __future__ import annotations
 
 import functools
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -27,6 +28,33 @@ SQUARE_MAX_W = 10
 QUAD_MAX_N = 128
 
 
+def _exponent(w) -> int:
+    """w as an int, once it is an integer in 0..SQUARE_MAX_W (SizeError above)."""
+    if isinstance(w, numbers.Real) and w > SQUARE_MAX_W:
+        raise SizeError(f"square exponent is limited to {SQUARE_MAX_W}, got {w!r}")
+    if not (isinstance(w, numbers.Real) and w >= 0 and int(w) == w):
+        raise ValidationError(f"square exponent must be a non-negative integer, got {w!r}")
+    return int(w)
+
+
+def _integers(values, name: str, lo: int, hi: int, shape=None) -> np.ndarray:
+    """values as a new int64 array, once they form a rectangular array (of
+    the given shape, if any) of integers in lo..hi; 3.0 passes."""
+    try:
+        raw = np.asarray(values)
+    except ValueError:  # ragged
+        raw = None
+    if raw is None or raw.dtype.kind not in "iuf":
+        raise ValidationError(f"{name} must be a rectangular array of numbers")
+    if shape is not None and raw.shape != shape:
+        raise ValidationError(f"{name} must form a {shape} array, got shape {raw.shape}")
+    # Before the cast, which truncates and wraps; nan and inf fail the bounds.
+    if not (((lo <= raw) & (raw <= hi)).all()
+            and (raw.dtype.kind != "f" or (raw == np.rint(raw)).all())):
+        raise ValidationError(f"{name} must be integers in {lo}..{hi}")
+    return raw.astype(np.int64)
+
+
 class LatinSquare:
     """Immutable n x n Latin square, n = 2**w, entries in 1..n.
 
@@ -35,23 +63,30 @@ class LatinSquare:
     convention; ``entries`` exposes the raw 0-based array.
     """
 
-    __slots__ = ("w", "n", "entries")
+    __slots__ = ("w", "n", "entries", "_unit")
 
     def __init__(self, w: int, entries: np.ndarray):
-        self.w = int(w)
+        self.w = _exponent(w)
         self.n = 2 ** self.w
-        arr = np.asarray(entries, dtype=np.int64)
-        if arr.shape != (self.n, self.n):
-            raise ValidationError(
-                f"expected a {self.n}x{self.n} matrix for w={w}, got {arr.shape}")
+        arr = _integers(entries, "Latin square entries", 1, self.n, (self.n, self.n))
         symbols = np.arange(1, self.n + 1)
         if not ((np.sort(arr, axis=0) == symbols[:, None]).all()
                 and (np.sort(arr, axis=1) == symbols[None, :]).all()):
             raise ValidationError(
                 f"not a Latin square: every row and column must hold 1..{self.n} once")
-        arr = arr.copy()
         arr.setflags(write=False)
         self.entries = arr
+        self._unit = None
+
+    @property
+    def unit_structure(self) -> tuple[bool, bool]:
+        """(row 1 and column 1 read 1..n, the diagonal is all 1s), computed
+        on first use, so a square read only as a basis never pays for it."""
+        if self._unit is None:
+            S = self.entries
+            unit = (S[0] == np.arange(1, self.n + 1)).all() and (S[:, 0] == S[0]).all()
+            self._unit = (bool(unit), bool((np.diag(S) == 1).all()))
+        return self._unit
 
     def entry(self, i: int, j: int) -> int:
         """Entry at 1-based position (i, j)."""
@@ -91,11 +126,7 @@ def construct_latin_square(w: int) -> LatinSquare:
     the off-diagonal blocks.  Exponents above SQUARE_MAX_W raise
     SizeError before anything is allocated.
     """
-    if w > SQUARE_MAX_W:
-        raise SizeError(f"dimension exponent is limited to {SQUARE_MAX_W}, got {w!r}")
-    if not w >= 0 or int(w) != w:
-        raise ValidationError(f"dimension exponent must be a non-negative integer, got {w!r}")
-    w = int(w)
+    w = _exponent(w)
     block = np.array([[1]], dtype=np.int64)
     for level in range(1, w + 1):
         half = 2 ** (level - 1)

@@ -24,6 +24,7 @@ sends back only its rejection counts through a pipe.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import statistics
 import threading
@@ -38,9 +39,8 @@ from .errors import InternalConsistencyError, SizeError, ValidationError
 
 __all__ = [
     "DistributionSpec", "BinningScheme", "PowerSimConfig", "PowerSimResult",
-    "normal_quantile", "chi_square_critical", "normal_critical",
-    "bin_edges", "matched_normal_null", "preset_probability",
-    "simulate_power",
+    "chi_square_critical", "normal_critical", "bin_edges", "matched_normal_null",
+    "preset_probability", "simulate_power",
 ]
 
 PRESET_WEIGHTS = {
@@ -83,7 +83,10 @@ class DistributionSpec:
         family = self.family
         if family not in self._ARITY:
             raise ValidationError(f"unknown distribution family {family!r}")
-        params = tuple(float(v) for v in self.params)
+        try:
+            params = tuple(float(v) for v in self.params)
+        except (TypeError, ValueError):  # not a sequence, or entries that are not numbers
+            raise ValidationError(f"{family} parameters must be numbers") from None
         if len(params) != self._ARITY[family]:
             raise ValidationError(
                 f"{family} takes {self._ARITY[family]} parameter(s), got {len(params)}")
@@ -102,11 +105,7 @@ class DistributionSpec:
         """Parse 'normal:0,1.3', 't:2', 'gamma:5,0.2' or 'cauchy'."""
         name, _, rest = text.partition(":")
         name = name.strip().lower()
-        try:
-            params = tuple(float(tok) for tok in rest.split(",")) if rest else ()
-        except ValueError:
-            raise ValidationError(f"malformed distribution spec {text!r}") from None
-        return cls(name, params)
+        return cls(name, tuple(rest.split(",")) if rest else ())
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw from the distribution using the given stream."""
@@ -126,7 +125,7 @@ class DistributionSpec:
             raise ValidationError("quantile argument must be strictly inside (0, 1)")
         if self.family == "normal":
             mu, sd = self.params
-            return mu + sd * normal_quantile(q)
+            return mu + sd * statistics.NormalDist().inv_cdf(q)
         if self.family == "cauchy":
             return math.tan(math.pi * (q - 0.5))
         from scipy import stats
@@ -141,26 +140,28 @@ class DistributionSpec:
         return f"{self.family}:" + ",".join(repr(v) for v in self.params)
 
 
-def normal_quantile(q: float) -> float:
-    """Standard normal inverse CDF (Wichura's AS241), accurate to well below 1e-9."""
-    if not 0.0 < q < 1.0:
-        raise ValidationError("quantile argument must be strictly inside (0, 1)")
-    return statistics.NormalDist().inv_cdf(q)
+def _level(alpha: float, q: float) -> float:
+    """q, once alpha lies in (0, 1) and q has not rounded to 1 (infinite critical value)."""
+    if not (0.0 < alpha < 1.0 and q < 1.0):
+        raise ValidationError(f"alpha must be in (0, 1), with finite critical values: {alpha!r}")
+    return q
 
 
 def normal_critical(alpha: float) -> float:
     """Two-sided standard normal critical value at level alpha."""
-    if alpha == 0.05:
-        return NORMAL_CRITICAL_975
-    return normal_quantile(1.0 - alpha / 2.0)
+    q = _level(alpha, 1.0 - alpha / 2.0)
+    return NORMAL_CRITICAL_975 if alpha == 0.05 else statistics.NormalDist().inv_cdf(q)
 
 
 def chi_square_critical(df: int, alpha: float) -> float:
     """Upper chi-square critical value; embedded constants at alpha 0.05."""
+    q = _level(alpha, 1.0 - alpha)
+    if not isinstance(df, numbers.Integral) or df < 1:
+        raise ValidationError(f"degrees of freedom must be a positive integer, got {df!r}")
     if alpha == 0.05 and df in CHI_SQUARE_CRITICAL_95:
         return CHI_SQUARE_CRITICAL_95[df]
     from scipy import stats
-    return float(stats.chi2.ppf(1.0 - alpha, df))
+    return float(stats.chi2.ppf(q, df))
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,10 +225,11 @@ class PowerSimConfig:
     matrix: SignedLatinSquare | None = None  # None: canonical_signed_square_8()
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral) for v in (self.n, self.reps, self.master_seed)):
+            raise ValidationError("n, reps and master_seed must be integers")
         if self.reps < 1:
             raise ValidationError("need at least one replication")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError("alpha must be strictly between 0 and 1")
+        _level(self.alpha, 1.0 - self.alpha / 2.0)  # both critical values are finite
         if self.n < 1:
             raise ValidationError("sample size must be positive")
         if self.n > BLOCK_DRAWS:
@@ -397,8 +399,8 @@ def simulate_power(cfg: PowerSimConfig, threads: int = 1) -> PowerSimResult:
     depend on the worker count.  ``threads`` below 1 raises
     ValidationError; a failed worker raises InternalConsistencyError.
     """
-    if threads < 1:
-        raise ValidationError(f"threads must be at least 1, got {threads}")
+    if not isinstance(threads, numbers.Integral) or threads < 1:
+        raise ValidationError(f"threads must be an integer of at least 1, got {threads!r}")
     basis = cfg.resolve_basis()
     scheme = bin_edges(cfg.null, cfg.p)
     k = cfg.p.k

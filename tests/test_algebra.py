@@ -227,6 +227,15 @@ def test_table_checks_its_symbols():
         AlgebraTable(SignedLatinSquare.from_signed_entries(cyclic))
 
 
+def test_unit_structure_flags_the_squares_the_table_rejects():
+    swap = np.array([0, 1, 3, 2, 4, 5, 6, 7, 8])  # symbols 2 and 3 swapped
+    relabelled = np.sign(SIGNED_SQUARE_8) * swap[np.abs(SIGNED_SQUARE_8)]
+    square = SignedLatinSquare.from_signed_entries(relabelled).square
+    assert square.unit_structure[0] is False
+    cyclic = [[1, 2, 3, 4], [2, -3, 4, 1], [3, 4, -1, 2], [4, 1, 2, -3]]
+    assert SignedLatinSquare.from_signed_entries(cyclic).square.unit_structure == (True, False)
+
+
 @pytest.mark.parametrize("m", range(6))
 def test_doubling_table_equals_quadrant_oracle(m):
     signs, indices = doubling_table(m)

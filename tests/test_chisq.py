@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latinhadamard import chisq
 from latinhadamard import (CellCounts, Eigenbasis, ProbabilityVector,
@@ -12,7 +13,7 @@ from latinhadamard import (CellCounts, Eigenbasis, ProbabilityVector,
                            construct_latin_square, decompose,
                            eigen_interlacing_check,
                            eigenbasis_from_latin_hadamard,
-                           eigenbasis_from_sign_matrix, pearson_x2,
+                           eigenbasis_from_sign_matrix, num_free_choices, pearson_x2,
                            scaled_residuals, sigma, sigma_star,
                            sylvester_hadamard)
 
@@ -386,3 +387,22 @@ def test_canonical_and_alternate_matrices():
     for col in (1, 5, 7):
         assert not np.array_equal(ce[:, col], ae[:, col])
     assert np.array_equal(ce[:4, :4], ae[:4, :4])  # shared 4x4 block
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_partition_identity_over_random_cells_counts_and_colorings(data):
+    # X^2 summed over the cells in exact-order float arithmetic, against
+    # the squared components of a random Latin-Hadamard coloring.
+    w = data.draw(st.sampled_from((1, 2, 3)), label="w")
+    k = 2 ** w
+    choices = data.draw(st.tuples(*[st.sampled_from((1, -1))] * num_free_choices(w)))
+    weights = data.draw(st.lists(st.floats(0.05, 20), min_size=k, max_size=k))
+    counts = data.draw(st.lists(st.integers(0, 10 ** 6), min_size=k, max_size=k).filter(any))
+    p = ProbabilityVector.proportional_to(weights)
+    basis = eigenbasis_from_latin_hadamard(color(construct_latin_square(w), choices), p)
+    result = decompose(CellCounts(counts), p, basis)
+    n = sum(counts)
+    x2 = math.fsum((m - n * q) ** 2 / (n * q) for m, q in zip(counts, p.p.tolist()))
+    squares = math.fsum(t * t for t in result.components.tolist())
+    assert squares == pytest.approx(x2, rel=1e-9, abs=1e-9)

@@ -54,6 +54,10 @@ def test_color_validates_choices():
         color(square, (1, 1))
     with pytest.raises(ValidationError):
         color(square, (1, 1, 0, 1))
+    # checked before any cast: 1.9 is not truncated to +1
+    for bad in (1.9, "a"):
+        with pytest.raises(ValidationError, match="choices must be"):
+            color(square, (1, 1, bad, 1))
 
 
 @pytest.mark.parametrize("w,count", [(1, 1), (2, 2), (3, 16), (4, 2048)])
@@ -222,16 +226,24 @@ def test_from_signed_entries_rejects_malformed_matrices():
     good = [[1, 2], [2, -1]]
     assert SignedLatinSquare.from_signed_entries([[1.0, 2.0], [2.0, -1.0]]) == \
         SignedLatinSquare.from_signed_entries(good)
+    square = construct_latin_square(1)
     # 1e300 is integral but beyond int64: its magnitude must be rejected
-    # before the cast, which would warn and wrap.
+    # before the cast, which would warn and wrap.  The square and sign
+    # constructors screen their own input the same way, so 1.7 and -1.5
+    # are not truncated to 1 and -1.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for bad in ([[1, 2], [2]], [[1, "2"], [2, -1]], [[1, 2], [2, None]],
                     [[1, 2.5], [2, -1]], [[1, 2], [2, float("nan")]],
                     [[1, 2], [1, -2]], [[1, 3], [3, -1]],
-                    [[1, 2], [2, 1e300]], [[1, 2], [2, -1e300]], [[1, 2], [2, 2 ** 63]]):
+                    [[1, 2], [2, 1e300]], [[1, 2], [2, -1e300]], [[1, 2], [2, 2 ** 63]],
+                    [[1.7, 2], [2, 1]], [[1, 2], [2, -1.5]], [[1, 2], [2, -2 ** 63]]):
             with pytest.raises(ValidationError):
                 SignedLatinSquare.from_signed_entries(bad)
+            with pytest.raises(ValidationError):
+                LatinSquare(1, bad)
+            with pytest.raises(ValidationError):
+                SignedLatinSquare(square, bad)
 
 
 def test_signed_square_invariant_validation():

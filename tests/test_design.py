@@ -198,3 +198,7 @@ def test_design_validation_rejects_bad_variable_maps():
         OrthogonalDesign(H, (1, 3))  # gap in variable indices
     with pytest.raises(ValidationError):
         OrthogonalDesign(H, (0, 1))  # variables are numbered from 1
+    # not truncated or parsed: fractions, strings and ragged maps
+    for variables in ((1.5, 2.5), ("1", "2"), ("a", "b"), [[1], [1, 2]]):
+        with pytest.raises(ValidationError):
+            OrthogonalDesign(H, variables)

@@ -225,7 +225,12 @@ def test_quad_kernel_size_guard():
         quad_sign_products(np.ones((256, 256), dtype=np.int64), np.ones((256, 256)))
 
 
-@pytest.mark.parametrize("build", (construct_latin_square, sylvester_hadamard))
+def one_by_one_square(w):
+    """A LatinSquare of exponent w holding [[1]]: only w == 0 is valid."""
+    return LatinSquare(w, [[1]])
+
+
+@pytest.mark.parametrize("build", (construct_latin_square, sylvester_hadamard, one_by_one_square))
 def test_square_exponent_ceiling(build):
     # rejected before the 2**w x 2**w int64 matrix is allocated
     tracemalloc.start()
@@ -238,7 +243,7 @@ def test_square_exponent_ceiling(build):
     assert peak < 2 ** 20
 
 
-@pytest.mark.parametrize("build", (construct_latin_square, sylvester_hadamard))
+@pytest.mark.parametrize("build", (construct_latin_square, sylvester_hadamard, one_by_one_square))
 @pytest.mark.parametrize("w", (-1, 2.5, float("nan")))
 def test_exponent_must_be_a_non_negative_integer(build, w):
     with pytest.raises(ValidationError, match="non-negative integer"):
@@ -276,6 +281,20 @@ def test_quad_enumeration_matches_brute_force(w):
     for q in quads:
         assert square.entry(q.i1, q.j1) == square.entry(q.i2, q.j2) == q.a
         assert square.entry(q.i1, q.j2) == square.entry(q.i2, q.j1) == q.b
+
+
+@pytest.mark.parametrize("w", range(8))
+def test_structured_square_has_the_unit_structure(w):
+    square = construct_latin_square(w)
+    assert square.unit_structure == (True, True)
+    assert square.unit_structure is square.unit_structure  # kept, not recomputed
+
+
+def test_unit_structure_is_computed_on_first_use():
+    square = LatinSquare(2, construct_latin_square(2).entries)
+    assert square._unit is None
+    assert square.unit_structure == (True, True)
+    assert square._unit == (True, True)
 
 
 def test_rejects_negative_exponent():

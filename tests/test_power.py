@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from latinhadamard import (DistributionSpec, InternalConsistencyError,
@@ -16,8 +17,7 @@ from latinhadamard import (DistributionSpec, InternalConsistencyError,
                            alternate_signed_square_8, bin_edges,
                            chi_square_critical, color, construct_latin_square,
                            matched_normal_null, normal_critical,
-                           normal_quantile, preset_probability,
-                           simulate_power)
+                           preset_probability, simulate_power)
 from latinhadamard import power
 
 import power_oracle
@@ -47,6 +47,12 @@ class TestDistributionSpec:
             with pytest.raises(ValidationError):
                 DistributionSpec.parse(text)
 
+    @pytest.mark.parametrize("family,params", [("normal", ("a", "b")), ("t", 5)],
+                             ids=["strings", "bare-number"])
+    def test_parameters_that_are_not_numbers_rejected(self, family, params):
+        with pytest.raises(ValidationError, match="parameters must be numbers"):
+            DistributionSpec(family, params)
+
     def test_cauchy_equals_t1_quantiles(self):
         c = DistributionSpec("cauchy")
         t1 = DistributionSpec("t", (1,))
@@ -55,21 +61,23 @@ class TestDistributionSpec:
 
 
 class TestNormalQuantile:
+    quantile = DistributionSpec("normal", (0, 1)).quantile
+
     def test_against_library_oracle(self):
         qs = np.concatenate([np.linspace(1e-10, 1 - 1e-10, 1001),
                              [1e-14, 1 - 1e-14, 0.125, 0.5]])
         for q in qs:
-            assert abs(normal_quantile(q) - stats.norm.ppf(q)) < 1e-9
+            assert abs(self.quantile(q) - stats.norm.ppf(q)) < 1e-9
 
     def test_frozen_high_precision_value(self):
         # scipy.stats.norm.ppf(0.125) frozen as the oracle value
-        assert normal_quantile(0.125) == pytest.approx(-1.1503493803760079, abs=1e-12)
+        assert self.quantile(0.125) == pytest.approx(-1.1503493803760079, abs=1e-12)
 
     def test_domain(self):
         with pytest.raises(ValidationError):
-            normal_quantile(0.0)
+            self.quantile(0.0)
         with pytest.raises(ValidationError):
-            normal_quantile(1.0)
+            self.quantile(1.0)
 
 
 class TestCriticalValues:
@@ -82,6 +90,19 @@ class TestCriticalValues:
     def test_general_path_uses_exact_quantiles(self):
         assert chi_square_critical(7, 0.01) == pytest.approx(stats.chi2.ppf(0.99, 7), rel=1e-12)
         assert normal_critical(0.01) == pytest.approx(stats.norm.ppf(0.995), abs=1e-9)
+
+    @pytest.mark.parametrize("critical", [
+        lambda: normal_critical(1.5),
+        lambda: normal_critical(1e-17),  # 1 - alpha/2 rounds to 1
+        lambda: chi_square_critical(7, 2.0),
+        lambda: chi_square_critical(7, 1e-17),
+        lambda: chi_square_critical(0, 0.05),
+        lambda: chi_square_critical(7.5, 0.05),
+    ], ids=["normal-alpha-above-one", "normal-alpha-rounds", "chi2-alpha-above-one",
+            "chi2-alpha-rounds", "chi2-df-zero", "chi2-df-fraction"])
+    def test_out_of_domain_arguments_rejected(self, critical):
+        with pytest.raises(ValidationError):
+            critical()
 
     def test_thirty_two_cell_critical_value_is_pinned(self):
         # df = 31 has no embedded constant: the 32-cell value comes from scipy
@@ -449,6 +470,11 @@ class TestSimulation:
         with pytest.raises(ValidationError):
             simulate_power(self.config(reps=10), threads=threads)
 
+    @pytest.mark.parametrize("threads", [math.nan, 2.5])
+    def test_threads_must_be_an_integer(self, threads):
+        with pytest.raises(ValidationError, match="threads must be an integer"):
+            simulate_power(self.config(reps=10), threads=threads)
+
     def test_matrix_is_checked_for_orthogonality(self):
         entries = alternate_signed_square_8().signed_entries()
         entries[1, 2] = -entries[1, 2]
@@ -463,6 +489,14 @@ class TestSimulation:
             PowerSimConfig(null=DistributionSpec("normal", (0, 1)),
                            alternative=DistributionSpec("normal", (0, 1)),
                            p=preset_probability("a"), n=power.BLOCK_DRAWS + 1)
+
+    @pytest.mark.parametrize("field,value", [("n", math.nan), ("n", 200.0), ("reps", 10.0),
+                                             ("master_seed", 1.5)])
+    def test_config_integer_fields(self, field, value):
+        with pytest.raises(ValidationError, match="must be integers"):
+            PowerSimConfig(null=DistributionSpec("normal", (0, 1)),
+                           alternative=DistributionSpec("normal", (0, 1)),
+                           p=preset_probability("a"), **{field: value})
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -524,3 +558,18 @@ class TestBlockEngineAgainstOracle:
                              p=preset_probability("b"), n=30, reps=100, master_seed=4)
         simulate_power(cfg)
         assert shapes == [(33, 30), (33, 30), (33, 30), (1, 30)]
+
+
+_SCENARIOS = settings(max_examples=8, deadline=None, derandomize=True, database=None)
+
+
+@_SCENARIOS
+@given(alt=st.sampled_from(_FAMILIES), preset=st.sampled_from(sorted(power.PRESET_WEIGHTS)),
+       n=st.integers(1, 60), reps=st.integers(1, 40), seed=st.integers(0, 2 ** 64 - 1))
+def test_seeded_runs_repeat_whatever_the_worker_count(alt, preset, n, reps, seed):
+    cfg = PowerSimConfig(null=DistributionSpec("normal", (0, 1)),
+                         alternative=DistributionSpec.parse(alt), p=preset_probability(preset),
+                         n=n, reps=reps, master_seed=seed)
+    rates = simulate_power(cfg).rates
+    assert np.array_equal(simulate_power(cfg).rates, rates)
+    assert np.array_equal(simulate_power(cfg, threads=2).rates, rates)
