@@ -18,12 +18,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .coloring import SignedLatinSquare, color, num_free_choices
-from .errors import ValidationError
-from .latin import construct_latin_square, quad_sign_products
+from .errors import SizeError, ValidationError
+from .latin import _screen, construct_latin_square, quad_sign_products
 
 __all__ = ["AlgebraTable", "ZeroDivisorPair", "cayley_dickson_table",
            "table_from_signed_square", "find_zero_divisors", "radon"]
-
 
 class AlgebraTable:
     """Basis multiplication table: e_i * e_j = signs[i,j] * e_{indices[i,j]}.
@@ -45,11 +44,12 @@ class AlgebraTable:
         self.dim, self.signs, self.indices = signed.n, signed.signs, signed.square.entries
 
     def multiply(self, a, b) -> np.ndarray:
-        """Bilinear product of integer coefficient vectors, exact."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if a.shape != (self.dim,) or b.shape != (self.dim,):
-            raise ValidationError(f"coefficient vectors must have length {self.dim}")
+        """Bilinear product of integer coefficient vectors, exact.
+
+        Coefficients are bounded by 2**26, so each product is at most
+        2**52 and a sum of dim**2 <= 2**10 of them fits in int64.
+        """
+        a, b = (_screen(v, "coefficient vectors", -2 ** 26, 2 ** 26, (self.dim,)) for v in (a, b))
         out = np.zeros(self.dim, dtype=np.int64)
         for i in np.nonzero(a)[0]:
             for j in np.nonzero(b)[0]:
@@ -93,7 +93,7 @@ def cayley_dickson_table(m: int) -> AlgebraTable:
     convention reproduces the usual quaternion relations ij = k, ji = -k.
     """
     if m > 5:
-        raise ValidationError("tables above dimension 32 are not supported")
+        raise SizeError("tables above dimension 32 are not supported")
     # The all-plus sign doubling of the structured square is this rule:
     # the quadrant-by-quadrant oracle in the tests gives the same table.
     square = construct_latin_square(m)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .coloring import SignedLatinSquare, color, is_latin_hadamard
 from .errors import InternalConsistencyError, ValidationError
-from .latin import _exponent, construct_latin_square
+from .latin import _exponent, _screen, construct_latin_square
 
 __all__ = [
     "ProbabilityVector", "CellCounts", "Eigenbasis", "Decomposition",
@@ -46,26 +46,21 @@ class ProbabilityVector:
     p: np.ndarray
 
     def __init__(self, p):
-        message = "need a flat vector of at least two probabilities"
-        try:
-            arr = np.asarray(p, dtype=float)
-        except (TypeError, ValueError):  # ragged, or entries that are not numbers
-            raise ValidationError(message) from None
+        arr = _screen(p, "probabilities")
         if arr.ndim != 1 or arr.size < 2:
-            raise ValidationError(message)
+            raise ValidationError("need a flat vector of at least two probabilities")
         # Bounded above before the sum, which could overflow; nan fails too.
         if not all(0 < v <= 1 for v in arr.tolist()):
             raise ValidationError("cell probabilities must lie in (0, 1]")
         total = float(arr.sum())
         if abs(total - 1.0) > PROBABILITY_SUM_TOL:
             raise ValidationError(f"probabilities must sum to 1 (got {total!r})")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "p", arr)
 
     @classmethod
     def proportional_to(cls, weights) -> "ProbabilityVector":
-        arr = np.asarray(weights, dtype=float)
+        arr = _screen(weights, "weights")
         with np.errstate(over="ignore", invalid="ignore"):
             total = arr.sum()
         if not math.isfinite(total):
@@ -136,19 +131,17 @@ class Eigenbasis:
     __slots__ = ("matrix", "p")
 
     def __init__(self, matrix: np.ndarray, p: ProbabilityVector):
-        O = np.asarray(matrix, dtype=float)
         k = p.k
-        if O.shape != (k, k):
-            raise ValidationError(f"matrix must be {k}x{k}, got {O.shape}")
+        O = _screen(matrix, "basis matrix", shape=(k, k))
+        # Written as "not <=", so that a nan deviation fails too.
         gram_err = np.abs(O.T @ O - np.eye(k)).max()
-        if gram_err > ORTHONORMALITY_TOL:
+        if not gram_err <= ORTHONORMALITY_TOL:
             raise ValidationError(
                 f"columns are not orthonormal (max Gram deviation {gram_err:.2e})")
         col_err = np.abs(O[:, 0] - p.sqrt()).max()
-        if col_err > ORTHONORMALITY_TOL:
+        if not col_err <= ORTHONORMALITY_TOL:
             raise ValidationError(
                 f"first column must be sqrt(p) (max deviation {col_err:.2e})")
-        O = O.copy()
         O.setflags(write=False)
         self.matrix = O
         self.p = p
@@ -239,7 +232,7 @@ def eigenbasis_from_sign_matrix(signs: np.ndarray,
     Only valid for equiprobable p: the first column of signs/sqrt(k) is
     the constant vector 1/sqrt(k) = sqrt(1/k).
     """
-    signs = np.asarray(signs)
+    signs = _screen(signs, "sign matrix entries", -1, 1)
     return Eigenbasis(signs / math.sqrt(p.k), p)
 
 

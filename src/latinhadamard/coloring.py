@@ -21,8 +21,7 @@ import functools
 import numpy as np
 
 from .errors import SizeError, ValidationError
-from .latin import (SQUARE_MAX_W, LatinSquare, _integers, construct_latin_square,
-                    quad_sign_products)
+from .latin import LatinSquare, _screen, construct_latin_square, quad_sign_products
 
 __all__ = [
     "SignedLatinSquare", "num_free_choices",
@@ -61,7 +60,7 @@ class SignedLatinSquare:
     __slots__ = ("square", "signs", "choices")
 
     def __init__(self, square: LatinSquare, signs: np.ndarray):
-        sgn = _integers(signs, "sign matrix entries", -1, 1, (square.n, square.n))
+        sgn = _screen(signs, "sign matrix entries", -1, 1, (square.n, square.n))
         _check_signs(sgn)
         sgn.setflags(write=False)
         self.square, self.signs, self.choices = square, sgn, None
@@ -102,10 +101,11 @@ class SignedLatinSquare:
     def from_signed_entries(cls, entries) -> "SignedLatinSquare":
         """Rebuild from a matrix of signed symbols.
 
-        The entries must form a square array of integers (integral floats
-        such as 3.0 are accepted) whose magnitudes make a Latin square.
+        The entries must form a square array of numbers whose magnitudes
+        make a Latin square; LatinSquare screens the magnitudes and
+        SignedLatinSquare the signs (integral floats such as 3.0 pass).
         """
-        arr = _integers(entries, "signed matrix entries", -2 ** SQUARE_MAX_W, 2 ** SQUARE_MAX_W)
+        arr = _screen(entries, "signed matrix entries")
         w = (arr.shape[0] if arr.ndim == 2 else 0).bit_length() - 1
         if arr.shape != (2 ** w, 2 ** w):
             raise ValidationError(f"signed matrix must be square of order 2**w, got {arr.shape}")

@@ -22,7 +22,7 @@ import numpy as np
 from .chisq import Eigenbasis, ProbabilityVector
 from .coloring import SignedLatinSquare, color
 from .errors import ValidationError
-from .latin import _integers, construct_latin_square, quad_sign_products
+from .latin import _screen, construct_latin_square, quad_sign_products
 
 __all__ = ["OrthogonalDesign", "builtin_design_16", "verify_design",
            "design_to_eigenbasis", "DESIGN_16_CELL_VARIABLES"]
@@ -41,7 +41,7 @@ class OrthogonalDesign:
 
     def __init__(self, signed: SignedLatinSquare, variables):
         n = signed.n
-        phi = _integers(variables, "variables (one per symbol)", 1, n, (n,))
+        phi = _screen(variables, "variables (one per symbol)", 1, n, (n,))
         l = int(phi.max())
         if not np.array_equal(np.unique(phi), np.arange(1, l + 1)):
             raise ValidationError("variable indices must be 1..l without gaps")
@@ -103,14 +103,7 @@ def design_to_eigenbasis(design: OrthogonalDesign, p_vars) -> Eigenbasis:
     sum_i s_i * p_vars_i = 1 so that the columns have unit norm; cell a
     has probability p_vars of the variable its symbol is tied to.
     """
-    try:
-        values = np.asarray(p_vars, dtype=float)
-    except (TypeError, ValueError):  # ragged, or entries that are not numbers
-        raise ValidationError(f"need {design.num_vars} variable probabilities, "
-                              "got entries that are not numbers") from None
-    if values.shape != (design.num_vars,):
-        raise ValidationError(
-            f"need {design.num_vars} variable probabilities, got {values.shape}")
+    values = _screen(p_vars, "variable probabilities", shape=(design.num_vars,))
     # phi has no gaps, so every variable is some cell's probability, and
     # the cells sum to sum_i s_i * p_vars_i: their checks cover p_vars.
     p = ProbabilityVector(values[design.variables - 1])

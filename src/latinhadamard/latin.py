@@ -37,9 +37,13 @@ def _exponent(w) -> int:
     return int(w)
 
 
-def _integers(values, name: str, lo: int, hi: int, shape=None) -> np.ndarray:
-    """values as a new int64 array, once they form a rectangular array (of
-    the given shape, if any) of integers in lo..hi; 3.0 passes."""
+def _screen(values, name: str, lo: int | None = None, hi: int | None = None,
+            shape=None) -> np.ndarray:
+    """The one screen for arrays a caller passes in: values must form a
+    rectangular array of numbers (of the given shape, if any).  Without
+    bounds, returns them as a new float array; with bounds lo..hi, as a
+    new int64 array, once every entry is an integer in lo..hi (3.0 passes).
+    """
     try:
         raw = np.asarray(values)
     except ValueError:  # ragged
@@ -48,6 +52,8 @@ def _integers(values, name: str, lo: int, hi: int, shape=None) -> np.ndarray:
         raise ValidationError(f"{name} must be a rectangular array of numbers")
     if shape is not None and raw.shape != shape:
         raise ValidationError(f"{name} must form a {shape} array, got shape {raw.shape}")
+    if lo is None:
+        return raw.astype(float, order="C")
     # Before the cast, which truncates and wraps; nan and inf fail the bounds.
     if not (((lo <= raw) & (raw <= hi)).all()
             and (raw.dtype.kind != "f" or (raw == np.rint(raw)).all())):
@@ -58,9 +64,8 @@ def _integers(values, name: str, lo: int, hi: int, shape=None) -> np.ndarray:
 class LatinSquare:
     """Immutable n x n Latin square, n = 2**w, entries in 1..n.
 
-    Every row and every column must be a permutation of 1..n.  Indexing
-    through :meth:`entry` is 1-based to match the usual combinatorial
-    convention; ``entries`` exposes the raw 0-based array.
+    Every row and every column must be a permutation of 1..n; ``entries``
+    holds them as a read-only array.
     """
 
     __slots__ = ("w", "n", "entries", "_unit")
@@ -68,7 +73,7 @@ class LatinSquare:
     def __init__(self, w: int, entries: np.ndarray):
         self.w = _exponent(w)
         self.n = 2 ** self.w
-        arr = _integers(entries, "Latin square entries", 1, self.n, (self.n, self.n))
+        arr = _screen(entries, "Latin square entries", 1, self.n, (self.n, self.n))
         symbols = np.arange(1, self.n + 1)
         if not ((np.sort(arr, axis=0) == symbols[:, None]).all()
                 and (np.sort(arr, axis=1) == symbols[None, :]).all()):
@@ -87,13 +92,6 @@ class LatinSquare:
             unit = (S[0] == np.arange(1, self.n + 1)).all() and (S[:, 0] == S[0]).all()
             self._unit = (bool(unit), bool((np.diag(S) == 1).all()))
         return self._unit
-
-    def entry(self, i: int, j: int) -> int:
-        """Entry at 1-based position (i, j)."""
-        return int(self.entries[i - 1, j - 1])
-
-    def column(self, j: int) -> np.ndarray:
-        return self.entries[:, j - 1]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LatinSquare) and self.w == other.w
@@ -193,7 +191,9 @@ def quad_sign_products(symbols, signs):
     quad through them closes with product -1; a closed quad with
     product +1 and no index on the unit is a zero divisor
     (e_i +/- e_j)(e_k +/- e_l) of the table read from (symbols, signs).
-    Exact integer arithmetic.
+    Exact integer arithmetic.  symbols and signs are integer arrays taken
+    as given, unscreened: every caller passes the entries and signs of a
+    square that LatinSquare and SignedLatinSquare have already screened.
     """
     n = np.shape(symbols)[0]
     if n > QUAD_MAX_N:

@@ -36,7 +36,7 @@ class TestInputs:
     @pytest.mark.parametrize("p", [["a", "b"], [[0.5], [0.25, 0.25]], [{}, 0.5]])
     def test_probabilities_that_are_not_numbers_rejected(self, p):
         with pytest.raises(ValidationError,
-                           match="^need a flat vector of at least two probabilities$"):
+                           match="^probabilities must be a rectangular array of numbers$"):
             ProbabilityVector(p)
 
     def test_ragged_counts_rejected(self):

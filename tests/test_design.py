@@ -168,8 +168,8 @@ def test_input_validation():
 
 @pytest.mark.parametrize("p_vars", [["a"] * 9, [[0.1], [0.1, 0.1]] + [0.1] * 7])
 def test_variable_probabilities_that_are_not_numbers_rejected(p_vars):
-    with pytest.raises(ValidationError, match="^need 9 variable probabilities, got entries "
-                                              "that are not numbers$"):
+    with pytest.raises(ValidationError,
+                       match="^variable probabilities must be a rectangular array of numbers$"):
         design_to_eigenbasis(builtin_design_16(), p_vars)
 
 

@@ -79,10 +79,11 @@ def find_abba_partner(square, i1, j1, j2):
     The partner row i2 is the unique row holding b = S[i1,j2] in column
     j1; the square has the AB-BA property where S[i2,j2] == S[i1,j1].
     """
-    a = square.entry(i1, j1)
-    b = square.entry(i1, j2)
-    i2 = int(np.nonzero(square.column(j1) == b)[0][0]) + 1
-    if i2 == i1 or square.entry(i2, j2) != a:
+    S = square.entries
+    a = int(S[i1 - 1, j1 - 1])
+    b = int(S[i1 - 1, j2 - 1])
+    i2 = int(np.nonzero(S[:, j1 - 1] == b)[0][0]) + 1
+    if i2 == i1 or S[i2 - 1, j2 - 1] != a:
         raise InternalConsistencyError(f"AB-BA partner missing for ({i1}, {j1}, {j2})")
     return CornerQuad(i1=i1, j1=j1, i2=i2, j2=j2, a=a, b=b)
 
@@ -113,8 +114,8 @@ def test_partner_closure(w):
                     continue
                 q = find_abba_partner(square, i1, j1, j2)
                 assert q.i2 != i1
-                assert square.entry(q.i2, j1) == q.b
-                assert square.entry(q.i2, j2) == q.a
+                assert square.entries[q.i2 - 1, j1 - 1] == q.b
+                assert square.entries[q.i2 - 1, j2 - 1] == q.a
                 assert (min(j1, j2) - 1, max(j1, j2) - 1,
                         min(i1, q.i2) - 1, max(i1, q.i2) - 1) in keys
     assert len(keys) == len(quads) == n * n * (n - 1) // 4
@@ -279,8 +280,9 @@ def test_quad_enumeration_matches_brute_force(w):
     n = square.n
     assert len(quads) == n * (n - 1) // 2 * (n // 2)
     for q in quads:
-        assert square.entry(q.i1, q.j1) == square.entry(q.i2, q.j2) == q.a
-        assert square.entry(q.i1, q.j2) == square.entry(q.i2, q.j1) == q.b
+        S = square.entries
+        assert S[q.i1 - 1, q.j1 - 1] == S[q.i2 - 1, q.j2 - 1] == q.a
+        assert S[q.i1 - 1, q.j2 - 1] == S[q.i2 - 1, q.j1 - 1] == q.b
 
 
 @pytest.mark.parametrize("w", range(8))
