@@ -210,8 +210,8 @@ def eigenbasis_from_latin_hadamard(H: SignedLatinSquare,
     """O[i,j] = sign(H[i,j]) * sqrt(p_s) with s = |H[i,j]|.
 
     This is the one path from a signed square to a component basis:
-    ``decompose --matrix``, ``power --matrix`` and
-    ``PowerSimConfig.matrix`` all come through here.  H must be
+    ``decompose --matrix`` and ``power --matrix`` both build their basis
+    here, as a caller does for ``decompose`` or ``PowerSimConfig.basis``.  H must be
     Latin-Hadamard, and it is checked here whatever its source (a
     builtin coloring, a matrix file or a caller's square); that is
     exactly what makes O orthonormal for every probability vector.

@@ -238,8 +238,7 @@ def _cmd_decompose(args) -> str:
     except ValueError:
         raise ValidationError(f"expected comma-separated integers, got {args.counts!r}") from None
     counts = CellCounts(tokens)
-    H = _load_matrix(args.matrix)
-    basis = eigenbasis_from_latin_hadamard(H, p)
+    basis = eigenbasis_from_latin_hadamard(_load_matrix(args.matrix), p)
     result = decompose(counts, p, basis)
     return json.dumps({
         "X2": result.x2,
@@ -264,8 +263,8 @@ def _cmd_power(args) -> str:
     cfg = PowerSimConfig(
         null=DistributionSpec.parse(args.null),
         alternative=DistributionSpec.parse(args.alt),
-        p=p, n=args.n, reps=args.reps, alpha=args.alpha,
-        master_seed=args.seed, matrix=_load_matrix(args.matrix))
+        basis=eigenbasis_from_latin_hadamard(_load_matrix(args.matrix), p),
+        n=args.n, reps=args.reps, alpha=args.alpha, master_seed=args.seed)
     result = simulate_power(cfg, threads=args.threads)
     if fmt == "csv":
         lines = ["statistic,rate,se"]

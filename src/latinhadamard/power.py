@@ -32,9 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chisq import (Eigenbasis, ProbabilityVector, canonical_signed_square_8,
-                    eigenbasis_from_latin_hadamard)
-from .coloring import SignedLatinSquare
+from .chisq import Eigenbasis, ProbabilityVector
 from .errors import InternalConsistencyError, SizeError, ValidationError
 
 __all__ = [
@@ -213,18 +211,20 @@ def matched_normal_null(g: DistributionSpec) -> DistributionSpec:
 
 @dataclass(frozen=True, eq=False)
 class PowerSimConfig:
-    """Everything a power run needs; results are a pure function of this."""
+    """Everything a power run needs; results are a pure function of this.
+    The basis fixes the cells, whose probabilities are ``basis.p``."""
 
     null: DistributionSpec
     alternative: DistributionSpec
-    p: ProbabilityVector
+    basis: Eigenbasis
     n: int = 200
     reps: int = 10000
     alpha: float = 0.05
     master_seed: int = 0
-    matrix: SignedLatinSquare | None = None  # None: canonical_signed_square_8()
 
     def __post_init__(self):
+        if not isinstance(self.basis, Eigenbasis):
+            raise ValidationError(f"basis must be an Eigenbasis, got {type(self.basis).__name__}")
         if not all(isinstance(v, numbers.Integral) for v in (self.n, self.reps, self.master_seed)):
             raise ValidationError("n, reps and master_seed must be integers")
         if self.reps < 1:
@@ -238,8 +238,9 @@ class PowerSimConfig:
             raise SizeError(f"replications are limited to {MAX_REPS}")
 
     def resolve_basis(self) -> Eigenbasis:
-        return eigenbasis_from_latin_hadamard(
-            canonical_signed_square_8() if self.matrix is None else self.matrix, self.p)
+        """The basis; kept only because ``perfbench --trace 1`` times this
+        method by name, as the ``power.resolve_basis`` span."""
+        return self.basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,10 +284,11 @@ def _replication_streams(master_seed: int, reps: range):
         yield rng
 
 
-def _run_block(cfg: PowerSimConfig, scheme: BinningScheme,
-               vectors: np.ndarray, sqrt_expected: np.ndarray,
-               expected: np.ndarray, chi_crit: float, z_crit: float,
-               rep_range: range) -> np.ndarray:
+def _run_block(cfg: PowerSimConfig, scheme: BinningScheme, chi_crit: float,
+               z_crit: float, rep_range: range) -> np.ndarray:
+    vectors = cfg.basis.component_vectors()
+    expected = cfg.n * cfg.basis.p.p
+    sqrt_expected = np.sqrt(expected)
     rows = max(1, min(BLOCK_DRAWS // cfg.n, len(rep_range)))
     block = np.empty((rows, cfg.n))
     streams = _replication_streams(cfg.master_seed, rep_range)
@@ -401,12 +403,10 @@ def simulate_power(cfg: PowerSimConfig, threads: int = 1) -> PowerSimResult:
     """
     if not isinstance(threads, numbers.Integral) or threads < 1:
         raise ValidationError(f"threads must be an integer of at least 1, got {threads!r}")
-    basis = cfg.resolve_basis()
-    scheme = bin_edges(cfg.null, cfg.p)
-    k = cfg.p.k
-    expected = cfg.n * cfg.p.p
-    args = (cfg, scheme, basis.component_vectors(), np.sqrt(expected), expected,
-            chi_square_critical(k - 1, cfg.alpha), normal_critical(cfg.alpha))
+    scheme = bin_edges(cfg.null, cfg.resolve_basis().p)
+    k = scheme.k
+    # Before any fork: away from alpha = 0.05 these import scipy, once.
+    args = (cfg, scheme, chi_square_critical(k - 1, cfg.alpha), normal_critical(cfg.alpha))
 
     # Each worker costs a process, a Philox and a block, so there is one
     # range per worker and never more workers than usable CPUs.  A fork

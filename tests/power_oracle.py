@@ -16,11 +16,19 @@ def _replication_stream(master_seed: int, rep: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def run_block(cfg, scheme, vectors: np.ndarray, sqrt_expected: np.ndarray,
-              expected: np.ndarray, chi_crit: float, z_crit: float,
+def run_block(cfg, scheme, chi_crit: float, z_crit: float,
               rep_range: range) -> np.ndarray:
-    """Rejection counts over rep_range: slot 0 X2, slots 1..k-1 T_2..T_k."""
-    k = scheme.k
+    """Rejection counts over rep_range: slot 0 X2, slots 1..k-1 T_2..T_k.
+
+    The expected counts, their roots and the projection columns come
+    from ``cfg.basis`` here, not from the engine.  The critical values
+    are taken as given: at alpha = 0.05 the embedded 6-digit constants
+    decide ties, so both sides must compare against the same numbers.
+    """
+    k = cfg.basis.k
+    expected = cfg.n * cfg.basis.p.p
+    sqrt_expected = np.sqrt(expected)
+    vectors = cfg.basis.matrix[:, 1:]
     rejections = np.zeros(k, dtype=np.int64)
     for rep in rep_range:
         rng = _replication_stream(cfg.master_seed, rep)

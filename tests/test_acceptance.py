@@ -207,10 +207,10 @@ def test_criterion_8_covariance_theorems():
 
 
 def _power_run(null, alt, preset, matrix=None):
-    cfg = PowerSimConfig(null=null, alternative=alt,
-                         p=preset_probability(preset), n=POWER_N,
-                         reps=POWER_REPS, alpha=0.05,
-                         master_seed=MASTER_SEED, matrix=matrix)
+    basis = eigenbasis_from_latin_hadamard(matrix or canonical_signed_square_8(),
+                                           preset_probability(preset))
+    cfg = PowerSimConfig(null=null, alternative=alt, basis=basis, n=POWER_N,
+                         reps=POWER_REPS, alpha=0.05, master_seed=MASTER_SEED)
     return simulate_power(cfg, threads=4).as_dict()
 
 

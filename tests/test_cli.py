@@ -308,12 +308,14 @@ def test_matrix_file_errors(capsys, tmp_path):
 
 
 def _malformed_matrix_rejected(capsys, tmp_path, entries):
-    """Both matrix-file readers must answer exit 1 with one stderr line."""
+    """Every matrix-file reader must answer exit 1 with one stderr line."""
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(entries))
     for argv in (["decompose", "--p", "a", "--counts", "25,25,25,25,25,25,25,25",
                   "--matrix", str(path)],
-                 ["algebra", "--from-coloring", str(path), "--report", "zero-divisors"]):
+                 ["algebra", "--from-coloring", str(path), "--report", "zero-divisors"],
+                 ["power", "--alt", "t:2", "--preset", "a", "--reps", "10",
+                  "--matrix", str(path)]):
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("latinhadamard: error:") and err.count("\n") == 1
@@ -360,6 +362,22 @@ def test_non_latin_matrix_file_rejected(capsys, tmp_path):
     entries = _canonical_entries()
     entries[5][6] = entries[5][7]
     _malformed_matrix_rejected(capsys, tmp_path, entries)
+
+
+def test_sign_flipped_matrix_file_rejected(capsys, tmp_path):
+    # A Latin square whose signs are no longer Latin-Hadamard: only the
+    # basis builder, shared by decompose and power, can catch it.
+    entries = _canonical_entries()
+    entries[1][2] = -entries[1][2]
+    path = tmp_path / "flipped.json"
+    path.write_text(json.dumps(entries))
+    for argv in (["decompose", "--p", "a", "--counts", "25,25,25,25,25,25,25,25",
+                  "--matrix", str(path)],
+                 ["power", "--alt", "t:2", "--preset", "a", "--reps", "10",
+                  "--matrix", str(path)]):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out, err) == (
+            1, "", "latinhadamard: error: signed square is not a Latin-Hadamard matrix\n")
 
 
 def test_algebra_from_large_coloring_hits_size_guard(capsys, tmp_path):

@@ -15,9 +15,12 @@ from latinhadamard import (DistributionSpec, InternalConsistencyError,
                            PowerSimConfig, ProbabilityVector,
                            SignedLatinSquare, SizeError, ValidationError,
                            alternate_signed_square_8, bin_edges,
+                           builtin_design_16, canonical_signed_square_8,
                            chi_square_critical, color, construct_latin_square,
-                           matched_normal_null, normal_critical,
-                           preset_probability, simulate_power)
+                           design_to_eigenbasis, eigenbasis_from_latin_hadamard,
+                           eigenbasis_from_sign_matrix, matched_normal_null,
+                           normal_critical, preset_probability, simulate_power,
+                           sylvester_hadamard)
 from latinhadamard import power
 
 import power_oracle
@@ -229,13 +232,27 @@ def _assert_reaped(pids):
             os.waitpid(pid, os.WNOHANG)
 
 
+def _basis(preset="a", matrix=None):
+    """The basis of ``matrix`` (default: the canonical square) for a preset."""
+    return eigenbasis_from_latin_hadamard(matrix or canonical_signed_square_8(),
+                                          preset_probability(preset))
+
+
+# Sixteen cells: the order-16 design at fixed variable probabilities
+# (type (1, 2, ..., 2, 1), so the weights are divided by 48), and the
+# equiprobable Sylvester basis.
+_DESIGN_16 = design_to_eigenbasis(builtin_design_16(),
+                                  np.array([1, 2, 3, 4, 5, 4, 3, 2, 1]) / 48)
+_SYLVESTER_16 = eigenbasis_from_sign_matrix(sylvester_hadamard(4),
+                                            ProbabilityVector.equiprobable(16))
+
+
 class TestSimulation:
     def config(self, alt=None, preset="a", reps=2000, seed=42, matrix=None):
         return PowerSimConfig(
             null=DistributionSpec("normal", (0, 1)),
             alternative=alt or DistributionSpec("normal", (0, 1)),
-            p=preset_probability(preset), n=200, reps=reps,
-            master_seed=seed, matrix=matrix)
+            basis=_basis(preset, matrix), n=200, reps=reps, master_seed=seed)
 
     def test_null_calibration(self):
         reps = 4000
@@ -259,12 +276,19 @@ class TestSimulation:
         assert 0.81 < rates["T6"] < 0.89
         assert rates["T8"] < 0.09
 
-    def test_thread_count_does_not_change_results(self):
-        cfg = self.config(alt=DistributionSpec("t", (2,)), preset="b", reps=801)
-        baseline = simulate_power(cfg, threads=1)
-        for threads in (2, 3, 8):
-            other = simulate_power(cfg, threads=threads)
-            assert np.array_equal(baseline.rates, other.rates)
+    def test_thread_count_does_not_change_results(self, monkeypatch):
+        # Eight usable CPUs, so that 2, 3 and 8 really are the worker counts.
+        _set_usable_cpus(monkeypatch, 8)
+        t2 = DistributionSpec("t", (2,))
+        configs = [self.config(alt=t2, preset="b", reps=801)]
+        configs += [PowerSimConfig(null=DistributionSpec("normal", (0, 1)), alternative=t2,
+                                   basis=basis, n=200, reps=801, master_seed=42)
+                    for basis in (_DESIGN_16, _SYLVESTER_16)]
+        for cfg in configs:
+            baseline = simulate_power(cfg, threads=1)
+            for threads in (2, 3, 8):
+                other = simulate_power(cfg, threads=threads)
+                assert np.array_equal(baseline.rates, other.rates)
 
     @pytest.mark.parametrize("cpus,workers", [(3, 3), (None, 1)])
     def test_pool_never_exceeds_cpu_count(self, monkeypatch, cpus, workers):
@@ -421,9 +445,11 @@ class TestSimulation:
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "print('before')\n"
             "sys.stderr.write('no newline')\n"
+            "from latinhadamard import chisq\n"
+            "basis = chisq.eigenbasis_from_latin_hadamard(\n"
+            "    chisq.canonical_signed_square_8(), power.preset_probability('b'))\n"
             "cfg = power.PowerSimConfig(null=power.DistributionSpec('normal', (0, 1)),\n"
-            "    alternative=power.DistributionSpec('t', (2,)),\n"
-            "    p=power.preset_probability('b'), n=50, reps=40)\n"
+            "    alternative=power.DistributionSpec('t', (2,)), basis=basis, n=50, reps=40)\n"
             "power.simulate_power(cfg, threads=2)\n"
             "print('after')\n")
         out, err = tmp_path / "out.txt", tmp_path / "err.txt"
@@ -478,9 +504,16 @@ class TestSimulation:
     def test_matrix_is_checked_for_orthogonality(self):
         entries = alternate_signed_square_8().signed_entries()
         entries[1, 2] = -entries[1, 2]
-        cfg = self.config(matrix=SignedLatinSquare.from_signed_entries(entries), reps=10)
-        with pytest.raises(ValidationError):
-            cfg.resolve_basis()
+        with pytest.raises(ValidationError, match="not a Latin-Hadamard matrix"):
+            _basis(matrix=SignedLatinSquare.from_signed_entries(entries))
+
+    @pytest.mark.parametrize("basis", [canonical_signed_square_8(), None,
+                                       _SYLVESTER_16.matrix],
+                             ids=["signed-square", "none", "ndarray"])
+    def test_basis_must_be_an_eigenbasis(self, basis):
+        with pytest.raises(ValidationError, match="^basis must be an Eigenbasis, got "):
+            PowerSimConfig(null=DistributionSpec("normal", (0, 1)),
+                           alternative=DistributionSpec("normal", (0, 1)), basis=basis)
 
     def test_size_guard(self):
         with pytest.raises(SizeError):
@@ -488,7 +521,7 @@ class TestSimulation:
         with pytest.raises(SizeError):
             PowerSimConfig(null=DistributionSpec("normal", (0, 1)),
                            alternative=DistributionSpec("normal", (0, 1)),
-                           p=preset_probability("a"), n=power.BLOCK_DRAWS + 1)
+                           basis=_basis(), n=power.BLOCK_DRAWS + 1)
 
     @pytest.mark.parametrize("field,value", [("n", math.nan), ("n", 200.0), ("reps", 10.0),
                                              ("master_seed", 1.5)])
@@ -496,7 +529,7 @@ class TestSimulation:
         with pytest.raises(ValidationError, match="must be integers"):
             PowerSimConfig(null=DistributionSpec("normal", (0, 1)),
                            alternative=DistributionSpec("normal", (0, 1)),
-                           p=preset_probability("a"), **{field: value})
+                           basis=_basis(), **{field: value})
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -504,37 +537,33 @@ class TestSimulation:
         with pytest.raises(ValidationError):
             PowerSimConfig(null=DistributionSpec("normal", (0, 1)),
                            alternative=DistributionSpec("normal", (0, 1)),
-                           p=preset_probability("a"), alpha=1.5)
+                           basis=_basis(), alpha=1.5)
 
 
-_P2 = ProbabilityVector.proportional_to((3, 7))
-_P4 = ProbabilityVector.proportional_to((1, 2, 4, 3))
-_MATRICES = {2: color(construct_latin_square(1), ()),
-             4: color(construct_latin_square(2), (1,))}
+_BASES = {
+    "k2": eigenbasis_from_latin_hadamard(color(construct_latin_square(1), ()),
+                                         ProbabilityVector.proportional_to((3, 7))),
+    "k4": eigenbasis_from_latin_hadamard(color(construct_latin_square(2), (1,)),
+                                         ProbabilityVector.proportional_to((1, 2, 4, 3))),
+    "design16": _DESIGN_16,
+    "sylvester16": _SYLVESTER_16,
+}
 _FAMILIES = ["normal:0.3,1.2", "t:3", "cauchy", "gamma:2,0.5"]
-
-
-def _engine_inputs(cfg):
-    basis = cfg.resolve_basis()
-    scheme = bin_edges(cfg.null, cfg.p)
-    expected = cfg.n * cfg.p.p
-    k = cfg.p.k
-    return (cfg, scheme, basis.component_vectors(), np.sqrt(expected), expected,
-            chi_square_critical(k - 1, cfg.alpha), normal_critical(cfg.alpha))
 
 
 class TestBlockEngineAgainstOracle:
     """The block engine's rejection counts equal the per-replication oracle's."""
 
     @pytest.mark.parametrize("n", [1, 7, 200])
-    @pytest.mark.parametrize("cells", ["a", "b", "c", "k2", "k4"])
+    @pytest.mark.parametrize("cells", ["a", "b", "c", "k2", "k4", "design16", "sylvester16"])
     @pytest.mark.parametrize("alt", _FAMILIES)
     def test_rejections_equal_oracle(self, monkeypatch, alt, cells, n):
-        p = {"k2": _P2, "k4": _P4}.get(cells) or preset_probability(cells)
+        basis = _BASES.get(cells) or _basis(cells)
         cfg = PowerSimConfig(null=DistributionSpec("normal", (0.1, 1.1)),
-                             alternative=DistributionSpec.parse(alt), p=p, n=n,
-                             reps=1, master_seed=20260811, matrix=_MATRICES.get(p.k))
-        inputs = _engine_inputs(cfg)
+                             alternative=DistributionSpec.parse(alt), basis=basis, n=n,
+                             reps=1, master_seed=20260811)
+        inputs = (cfg, bin_edges(cfg.null, basis.p),
+                  chi_square_critical(basis.k - 1, cfg.alpha), normal_critical(cfg.alpha))
         reps = range(3, 3 + 157)
         expected = power_oracle.run_block(*inputs, reps)
         assert np.array_equal(power._run_block(*inputs, reps), expected)
@@ -555,7 +584,7 @@ class TestBlockEngineAgainstOracle:
         monkeypatch.setattr(power, "BLOCK_DRAWS", 1000)
         cfg = PowerSimConfig(null=DistributionSpec("normal", (0, 1)),
                              alternative=DistributionSpec("t", (2,)),
-                             p=preset_probability("b"), n=30, reps=100, master_seed=4)
+                             basis=_basis("b"), n=30, reps=100, master_seed=4)
         simulate_power(cfg)
         assert shapes == [(33, 30), (33, 30), (33, 30), (1, 30)]
 
@@ -568,7 +597,7 @@ _SCENARIOS = settings(max_examples=8, deadline=None, derandomize=True, database=
        n=st.integers(1, 60), reps=st.integers(1, 40), seed=st.integers(0, 2 ** 64 - 1))
 def test_seeded_runs_repeat_whatever_the_worker_count(alt, preset, n, reps, seed):
     cfg = PowerSimConfig(null=DistributionSpec("normal", (0, 1)),
-                         alternative=DistributionSpec.parse(alt), p=preset_probability(preset),
+                         alternative=DistributionSpec.parse(alt), basis=_basis(preset),
                          n=n, reps=reps, master_seed=seed)
     rates = simulate_power(cfg).rates
     assert np.array_equal(simulate_power(cfg).rates, rates)
