@@ -127,7 +127,7 @@ def _load_matrix(source: str | None) -> coloring.SignedLatinSquare:
     entries = payload.get("H") if isinstance(payload, dict) else payload
     if entries is None:
         raise ValidationError("matrix file must hold an 'H' field or a bare matrix")
-    return coloring.SignedLatinSquare.from_signed_entries(entries)
+    return coloring.SignedLatinSquare(entries)
 
 
 def _cmd_construct(args) -> str:

@@ -21,7 +21,7 @@ import functools
 import numpy as np
 
 from .errors import SizeError, ValidationError
-from .latin import LatinSquare, _screen, construct_latin_square, quad_sign_products
+from .latin import LatinSquare, _screen, _square_order, construct_latin_square, quad_sign_products
 
 __all__ = [
     "SignedLatinSquare", "num_free_choices",
@@ -48,22 +48,24 @@ def _check_signs(sgn: np.ndarray) -> None:
 
 
 class SignedLatinSquare:
-    """A structured Latin square together with a +/-1 sign for each entry.
+    """A Latin square together with a +/-1 sign for each entry.
 
-    The signed entry H[i,j] = signs[i,j] * S[i,j] carries both pieces;
-    |H| is always the underlying square.  First row and first column are
-    positive and the diagonal below row one is negative, as produced by
-    the coloring procedure.  ``choices`` is None unless the square came
-    from :func:`color` or :func:`enumerate_colorings`.
+    It is built from its signed entries H[i,j] = signs[i,j] * S[i,j]:
+    |H| is the underlying square and sign(H) the signs.  First row and
+    first column are positive and the diagonal below row one is negative,
+    as produced by the coloring procedure.  ``choices`` is None unless the
+    square came from :func:`color` or :func:`enumerate_colorings`.
     """
 
     __slots__ = ("square", "signs", "choices")
 
-    def __init__(self, square: LatinSquare, signs: np.ndarray):
-        sgn = _screen(signs, "sign matrix entries", -1, 1, (square.n, square.n))
+    def __init__(self, entries):
+        n, raw = _square_order(entries, "signed matrix entries")
+        arr = _screen(raw, "signed matrix entries", -n, n, (n, n))
+        sgn = np.sign(arr)
         _check_signs(sgn)
         sgn.setflags(write=False)
-        self.square, self.signs, self.choices = square, sgn, None
+        self.square, self.signs, self.choices = LatinSquare(np.abs(arr)), sgn, None
 
     @classmethod
     def _checked_block(cls, square: LatinSquare, signs: np.ndarray, choices):
@@ -96,20 +98,6 @@ class SignedLatinSquare:
     def to_tuple(self) -> tuple[tuple[int, ...], ...]:
         """Canonical row-major serialization; defines matrix identity."""
         return tuple(tuple(int(v) for v in row) for row in self.signed_entries())
-
-    @classmethod
-    def from_signed_entries(cls, entries) -> "SignedLatinSquare":
-        """Rebuild from a matrix of signed symbols.
-
-        The entries must form a square array of numbers whose magnitudes
-        make a Latin square; LatinSquare screens the magnitudes and
-        SignedLatinSquare the signs (integral floats such as 3.0 pass).
-        """
-        arr = _screen(entries, "signed matrix entries")
-        w = (arr.shape[0] if arr.ndim == 2 else 0).bit_length() - 1
-        if arr.shape != (2 ** w, 2 ** w):
-            raise ValidationError(f"signed matrix must be square of order 2**w, got {arr.shape}")
-        return cls(LatinSquare(w, np.abs(arr)), np.sign(arr))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SignedLatinSquare)
@@ -201,18 +189,13 @@ def color(square: LatinSquare, choices) -> SignedLatinSquare:
     increasing row index within the level.
     """
     w = square.w
-    choices = tuple(choices)
-    expected = num_free_choices(w)
-    if len(choices) != expected:
-        raise ValidationError(
-            f"need exactly {expected} choices for w={w}, got {len(choices)}")
-    if not all(c in (-1, 1) for c in choices):  # before int() truncates 1.9 to 1
+    row = _screen(choices, "choices", -1, 1, (num_free_choices(w),))
+    if not row.all():  # 0 is the one integer in -1..1 that is not +/-1
         raise ValidationError("choices must be +1 or -1")
-    choices = tuple(map(int, choices))
     if square != construct_latin_square(w):
         raise ValidationError("colorings are defined on the structured square only")
-    signs = _double_signs(w, np.array([(1,) + choices], dtype=np.int64))
-    return SignedLatinSquare._checked_block(square, signs, [choices])[0]
+    signs = _double_signs(w, np.concatenate(([1], row))[None])
+    return SignedLatinSquare._checked_block(square, signs, [tuple(row.tolist())])[0]
 
 
 def enumerate_colorings(square: LatinSquare):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .chisq import Eigenbasis, ProbabilityVector
-from .coloring import SignedLatinSquare, color
+from .coloring import SignedLatinSquare, color, num_free_choices
 from .errors import ValidationError
 from .latin import _screen, construct_latin_square, quad_sign_products
 
@@ -68,7 +68,7 @@ DESIGN_16_CELL_VARIABLES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 2, 3, 4, 5, 6, 7, 8)
 
 def builtin_design_16() -> OrthogonalDesign:
     """The order-16, nine-variable design: the all-plus w=4 coloring."""
-    return OrthogonalDesign(color(construct_latin_square(4), (1,) * 11),
+    return OrthogonalDesign(color(construct_latin_square(4), (1,) * num_free_choices(4)),
                             DESIGN_16_CELL_VARIABLES)
 
 
@@ -79,11 +79,12 @@ def verify_design(design: OrthogonalDesign) -> bool:
     a row pair that survive the quads with sign product -1 must cancel
     within each unordered variable monomial: a closed quad with product
     +1 leaves its terms at both of its columns k and l, and an open
-    corner leaves its term at column k.
+    corner leaves its term at column k.  Only these terms are summed, by
+    flat key (i, j, min, max), so memory follows the number of terms.
     """
     S = design.signed.square.entries
     G = design.signed.signs
-    n = design.order
+    n, m = design.order, design.num_vars + 1
     quads, open_corners, product = quad_sign_products(S, G)
     plus = quads[product == 1]
     i = np.concatenate((plus[:, 0], plus[:, 0], open_corners[:, 0]))
@@ -91,9 +92,9 @@ def verify_design(design: OrthogonalDesign) -> bool:
     k = np.concatenate((plus[:, 2], plus[:, 3], open_corners[:, 2]))
     a = design.variables[S[i, k] - 1]
     b = design.variables[S[j, k] - 1]
-    acc = np.zeros((n, n, design.num_vars + 1, design.num_vars + 1), dtype=np.int64)
-    np.add.at(acc, (i, j, np.minimum(a, b), np.maximum(a, b)), G[i, k] * G[j, k])
-    return not acc.any()
+    key = ((i * n + j) * m + np.minimum(a, b)) * m + np.maximum(a, b)
+    _, term_key = np.unique(key, return_inverse=True)
+    return not np.bincount(term_key, weights=G[i, k] * G[j, k]).any()
 
 
 def design_to_eigenbasis(design: OrthogonalDesign, p_vars) -> Eigenbasis:

@@ -61,19 +61,35 @@ def _screen(values, name: str, lo: int | None = None, hi: int | None = None,
     return raw.astype(np.int64)
 
 
+def _square_order(entries, name: str) -> tuple[int, np.ndarray]:
+    """(n, entries as an array) for an n x n matrix with n = 2**w.  n is
+    read from the shape alone, so SizeError above 2**SQUARE_MAX_W comes
+    before any copy of an array is made."""
+    try:
+        raw = np.asarray(entries)
+    except ValueError:  # ragged
+        raise ValidationError(f"{name} must be a rectangular array of numbers") from None
+    n = raw.shape[0] if raw.ndim == 2 else 0
+    if raw.shape != (n, n) or not n or n & (n - 1):
+        raise ValidationError(f"{name} must form a 2**w x 2**w array, got shape {raw.shape}")
+    if n > 2 ** SQUARE_MAX_W:
+        raise SizeError(f"square order is limited to 2**{SQUARE_MAX_W}, got {n}")
+    return n, raw
+
+
 class LatinSquare:
     """Immutable n x n Latin square, n = 2**w, entries in 1..n.
 
-    Every row and every column must be a permutation of 1..n; ``entries``
-    holds them as a read-only array.
+    n is read from the shape of ``entries``, and every row and column
+    must be a permutation of 1..n; ``entries`` holds them read-only.
     """
 
     __slots__ = ("w", "n", "entries", "_unit")
 
-    def __init__(self, w: int, entries: np.ndarray):
-        self.w = _exponent(w)
-        self.n = 2 ** self.w
-        arr = _screen(entries, "Latin square entries", 1, self.n, (self.n, self.n))
+    def __init__(self, entries):
+        self.n, raw = _square_order(entries, "Latin square entries")
+        self.w = self.n.bit_length() - 1
+        arr = _screen(raw, "Latin square entries", 1, self.n, (self.n, self.n))
         symbols = np.arange(1, self.n + 1)
         if not ((np.sort(arr, axis=0) == symbols[:, None]).all()
                 and (np.sort(arr, axis=1) == symbols[None, :]).all()):
@@ -94,11 +110,11 @@ class LatinSquare:
         return self._unit
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, LatinSquare) and self.w == other.w
-                and bool(np.array_equal(self.entries, other.entries)))
+        return other is self or (isinstance(other, LatinSquare)
+                                 and bool(np.array_equal(self.entries, other.entries)))
 
     def __hash__(self) -> int:
-        return hash((self.w, self.entries.tobytes()))
+        return hash(self.entries.tobytes())
 
     def __repr__(self) -> str:
         return f"LatinSquare(w={self.w}, n={self.n})"
@@ -130,7 +146,7 @@ def construct_latin_square(w: int) -> LatinSquare:
         half = 2 ** (level - 1)
         shifted = block + half
         block = np.block([[block, shifted], [shifted, block]])
-    return LatinSquare(w, block)
+    return LatinSquare(block)
 
 
 @functools.lru_cache(maxsize=4)

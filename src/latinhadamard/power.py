@@ -167,11 +167,10 @@ class BinningScheme:
     """Cell edges chosen so the null distribution induces exactly p."""
 
     edges: np.ndarray
-    p: ProbabilityVector
 
     @property
     def k(self) -> int:
-        return self.p.k
+        return self.edges.size + 1
 
     def bin_counts(self, sample: np.ndarray) -> np.ndarray:
         """Cell counts along the last axis: shape (..., n) gives (..., k).
@@ -197,7 +196,7 @@ def bin_edges(null: DistributionSpec, p: ProbabilityVector) -> BinningScheme:
     if not (np.diff(edges) > 0).all():
         raise ValidationError("null quantiles did not produce increasing edges")
     edges.setflags(write=False)
-    return BinningScheme(edges=edges, p=p)
+    return BinningScheme(edges=edges)
 
 
 def matched_normal_null(g: DistributionSpec) -> DistributionSpec:

@@ -10,7 +10,6 @@ from latinhadamard import (SignedLatinSquare, SizeError, ValidationError, builti
                            is_latin_hadamard, num_free_choices, radon,
                            table_from_signed_square)
 from latinhadamard.algebra import AlgebraTable, ZeroDivisorPair
-from latinhadamard.latin import LatinSquare
 
 from cayley_dickson_oracle import doubling_table
 from reference_tables import QUATERNION_TABLE, SIGNED_SQUARE_8
@@ -111,7 +110,7 @@ def test_pruned_scan_equals_brute_force():
     # an unpruned scan must find exactly the same pairs
     for source in (cayley_dickson_table(2), cayley_dickson_table(3),
                    table_from_signed_square(
-                       SignedLatinSquare.from_signed_entries(SIGNED_SQUARE_8))):
+                       SignedLatinSquare(SIGNED_SQUARE_8))):
         assert set(find_zero_divisors(source)) == set(brute_force_zero_divisors(source))
     square = construct_latin_square(3)
     noisy = table_from_signed_square(color(square, (1, -1, 1, -1)))
@@ -154,7 +153,7 @@ def test_other_4x4_coloring_is_quaternion_isomorphic():
 
 
 def test_octonion_like_coloring_has_no_zero_divisors():
-    H = SignedLatinSquare.from_signed_entries(SIGNED_SQUARE_8)
+    H = SignedLatinSquare(SIGNED_SQUARE_8)
     table = table_from_signed_square(H)
     assert next(find_zero_divisors(table), None) is None
 
@@ -200,11 +199,9 @@ def test_radon_rejects_non_integers_with_its_message(n):
 
 def test_table_validation():
     with pytest.raises(ValidationError):
-        AlgebraTable(SignedLatinSquare(LatinSquare(1, [[1, 1], [2, 2]]),
-                                       np.ones((2, 2), dtype=int)))  # not Latin
+        AlgebraTable(SignedLatinSquare([[1, 1], [2, 2]]))  # not Latin
     with pytest.raises(ValidationError):
-        AlgebraTable(SignedLatinSquare(LatinSquare(1, [[1, 2], [2, 1]]),
-                                       np.ones((2, 2), dtype=int)))  # e_2^2 != -e_1
+        AlgebraTable(SignedLatinSquare([[1, 2], [2, 1]]))  # e_2^2 != -e_1
     H = color(construct_latin_square(2), (1,))
     table = AlgebraTable(H)
     assert table.dim == 4
@@ -221,19 +218,19 @@ def test_table_checks_its_symbols():
     swap = np.array([0, 1, 3, 2, 4, 5, 6, 7, 8])  # symbols 2 and 3 swapped
     relabelled = np.sign(SIGNED_SQUARE_8) * swap[np.abs(SIGNED_SQUARE_8)]
     with pytest.raises(ValidationError, match="e_1 must act as a two-sided unit"):
-        AlgebraTable(SignedLatinSquare.from_signed_entries(relabelled))
+        AlgebraTable(SignedLatinSquare(relabelled))
     cyclic = [[1, 2, 3, 4], [2, -3, 4, 1], [3, 4, -1, 2], [4, 1, 2, -3]]
     with pytest.raises(ValidationError, match="must square to -e_1"):
-        AlgebraTable(SignedLatinSquare.from_signed_entries(cyclic))
+        AlgebraTable(SignedLatinSquare(cyclic))
 
 
 def test_unit_structure_flags_the_squares_the_table_rejects():
     swap = np.array([0, 1, 3, 2, 4, 5, 6, 7, 8])  # symbols 2 and 3 swapped
     relabelled = np.sign(SIGNED_SQUARE_8) * swap[np.abs(SIGNED_SQUARE_8)]
-    square = SignedLatinSquare.from_signed_entries(relabelled).square
+    square = SignedLatinSquare(relabelled).square
     assert square.unit_structure[0] is False
     cyclic = [[1, 2, 3, 4], [2, -3, 4, 1], [3, 4, -1, 2], [4, 1, 2, -3]]
-    assert SignedLatinSquare.from_signed_entries(cyclic).square.unit_structure == (True, False)
+    assert SignedLatinSquare(cyclic).square.unit_structure == (True, False)
 
 
 @pytest.mark.parametrize("m", range(6))

@@ -186,7 +186,7 @@ class TestEigenbasis:
         assert np.allclose(basis.matrix, H.signs / math.sqrt(8))
 
     def test_reference_matrix_with_sloped_probabilities(self):
-        H = SignedLatinSquare.from_signed_entries(VALID_SIGNED_SQUARES_8[0])
+        H = SignedLatinSquare(VALID_SIGNED_SQUARES_8[0])
         p = ProbabilityVector.proportional_to([1, 2, 3, 4, 4, 3, 2, 1])
         basis = eigenbasis_from_latin_hadamard(H, p)
         assert np.abs(basis.matrix.T @ basis.matrix - np.eye(8)).max() < 1e-12

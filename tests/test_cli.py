@@ -629,6 +629,23 @@ def test_installed_entry_point_runs():
     assert json.loads(proc.stdout)["entries"] == [[1, 2], [2, 1]]
 
 
+def test_single_worker_power_run_imports_no_scipy_and_no_pools():
+    # At alpha 0.05 with a normal null the critical values and quantiles
+    # are embedded or come from the standard library, and one worker
+    # forks nothing: scipy and the process-pool modules stay unloaded.
+    src = str(Path(latinhadamard.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = ("import sys\n"
+              "import latinhadamard.cli as cli\n"
+              "assert cli.run(['power', '--alt', 't:2', '--preset', 'a', '--reps', '50']) == 0\n"
+              "print(sorted({'scipy', 'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def _one_error_line(code, out, err):
     assert (code, out) == (1, "")
     assert err.startswith("latinhadamard: error:") and err.count("\n") == 1

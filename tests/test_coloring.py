@@ -55,7 +55,7 @@ def test_color_validates_choices():
     with pytest.raises(ValidationError):
         color(square, (1, 1, 0, 1))
     # checked before any cast: 1.9 is not truncated to +1
-    for bad in (1.9, "a"):
+    for bad in (1.9, "a", 0):
         with pytest.raises(ValidationError, match="choices must be"):
             color(square, (1, 1, bad, 1))
 
@@ -84,8 +84,8 @@ def test_sign_doubling_matches_propagation_oracle(w):
 
 
 def test_color_rejects_other_latin_squares():
-    cyclic = LatinSquare(2, [[1, 2, 3, 4], [2, 3, 4, 1],
-                             [3, 4, 1, 2], [4, 1, 2, 3]])
+    cyclic = LatinSquare([[1, 2, 3, 4], [2, 3, 4, 1],
+                          [3, 4, 1, 2], [4, 1, 2, 3]])
     with pytest.raises(ValidationError):
         color(cyclic, (1,))
 
@@ -129,7 +129,7 @@ def test_every_candidate_orthogonal_to_first_column_and_row():
 
 
 def test_gram_diagonal_is_full_symbol_sum():
-    H = SignedLatinSquare.from_signed_entries(SIGNED_SQUARE_8)
+    H = SignedLatinSquare(SIGNED_SQUARE_8)
     gram = symbolic_gram(H)
     for j in range(1, 9):
         for s in range(1, 9):
@@ -155,13 +155,13 @@ def sign_pattern_is_hadamard(G):
 
 def test_reference_matrices_are_latin_hadamard():
     for entries in VALID_SIGNED_SQUARES_4 + VALID_SIGNED_SQUARES_8:
-        H = SignedLatinSquare.from_signed_entries(entries)
+        H = SignedLatinSquare(entries)
         assert is_latin_hadamard(H)
         assert sign_pattern_is_hadamard(H.signs)
 
 
 def test_sign_pattern_checks():
-    H = SignedLatinSquare.from_signed_entries(SIGNED_SQUARE_8)
+    H = SignedLatinSquare(SIGNED_SQUARE_8)
     assert sign_pattern_is_hadamard(H.signs)
     assert not sign_pattern_is_hadamard(np.ones((4, 4), dtype=int))
     for H in enumerate_colorings(construct_latin_square(3)):
@@ -169,7 +169,7 @@ def test_sign_pattern_checks():
 
 
 def test_partial_orthogonality_reference_cases():
-    H8 = SignedLatinSquare.from_signed_entries(SIGNED_SQUARE_8)
+    H8 = SignedLatinSquare(SIGNED_SQUARE_8)
     assert partial_orthogonality_report(H8) == set(combinations(range(1, 9), 2))
 
     square1 = construct_latin_square(1)
@@ -209,28 +209,27 @@ def test_gram_oracle_column_verdict_equals_row_verdict():
 
 
 def test_latin_square_without_corner_property_is_not_hadamard():
-    cyclic = LatinSquare(2, [[1, 2, 3, 4], [2, 3, 4, 1],
-                             [3, 4, 1, 2], [4, 1, 2, 3]])
+    cyclic = LatinSquare([[1, 2, 3, 4], [2, 3, 4, 1],
+                          [3, 4, 1, 2], [4, 1, 2, 3]])
     # every quad through columns 1 and 2 has sign product -1, but no
     # corner closes, so the pair is still not orthogonal
     signs = np.array([[1, 1, 1, 1], [1, -1, 1, 1],
                       [1, 1, -1, 1], [1, -1, 1, -1]])
-    H = SignedLatinSquare(cyclic, signs)
+    H = SignedLatinSquare(signs * cyclic.entries)
     assert is_latin_hadamard(H) is False
     assert not gram_is_latin_hadamard(H)
     assert symbolic_gram(H).coefficient((1, 2), (1, 2)) != 0
     assert partial_orthogonality_report(H) == set()
 
 
-def test_from_signed_entries_rejects_malformed_matrices():
-    good = [[1, 2], [2, -1]]
-    assert SignedLatinSquare.from_signed_entries([[1.0, 2.0], [2.0, -1.0]]) == \
-        SignedLatinSquare.from_signed_entries(good)
-    square = construct_latin_square(1)
-    # 1e300 is integral but beyond int64: its magnitude must be rejected
-    # before the cast, which would warn and wrap.  The square and sign
-    # constructors screen their own input the same way, so 1.7 and -1.5
-    # are not truncated to 1 and -1.
+def test_square_constructors_reject_malformed_matrices():
+    # Integral floats are the same square as the integers they equal.
+    assert SignedLatinSquare([[1.0, 2.0], [2.0, -1.0]]) == SignedLatinSquare([[1, 2], [2, -1]])
+    assert LatinSquare([[3.0, 4, 1, 2], [4, 3, 2, 1], [1, 2, 3, 4], [2, 1, 4, 3]]) == \
+        LatinSquare(np.array([[3, 4, 1, 2], [4, 3, 2, 1], [1, 2, 3, 4], [2, 1, 4, 3]]))
+    # 1e300 is integral but beyond int64: it must be rejected before the
+    # cast, which would warn and wrap.  Both constructors screen their
+    # entries once, so 1.7 and -1.5 are not truncated to 1 and -1.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for bad in ([[1, 2], [2]], [[1, "2"], [2, -1]], [[1, 2], [2, None]],
@@ -239,11 +238,9 @@ def test_from_signed_entries_rejects_malformed_matrices():
                     [[1, 2], [2, 1e300]], [[1, 2], [2, -1e300]], [[1, 2], [2, 2 ** 63]],
                     [[1.7, 2], [2, 1]], [[1, 2], [2, -1.5]], [[1, 2], [2, -2 ** 63]]):
             with pytest.raises(ValidationError):
-                SignedLatinSquare.from_signed_entries(bad)
+                SignedLatinSquare(bad)
             with pytest.raises(ValidationError):
-                LatinSquare(1, bad)
-            with pytest.raises(ValidationError):
-                SignedLatinSquare(square, bad)
+                LatinSquare(bad)
 
 
 def test_signed_square_invariant_validation():
@@ -253,21 +250,21 @@ def test_signed_square_invariant_validation():
     flipped = good.copy()
     flipped[0, 1] = -1  # positive first row violated
     with pytest.raises(ValidationError):
-        SignedLatinSquare(square, flipped)
+        SignedLatinSquare(flipped * square.entries)
 
     flipped = good.copy()
     flipped[2, 2] = 1  # negative diagonal violated
     with pytest.raises(ValidationError):
-        SignedLatinSquare(square, flipped)
+        SignedLatinSquare(flipped * square.entries)
 
     with pytest.raises(ValidationError):
-        SignedLatinSquare(square, np.zeros((4, 4), dtype=int))
+        SignedLatinSquare(np.zeros((4, 4), dtype=int))
 
 
 def test_serialization_roundtrip_and_identity():
     square = construct_latin_square(3)
     H = color(square, (-1, 1, 1, 1))
-    clone = SignedLatinSquare.from_signed_entries(H.to_tuple())
+    clone = SignedLatinSquare(H.to_tuple())
     assert clone == H
     assert hash(clone) == hash(H)
     assert clone.to_tuple() == H.to_tuple()

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from itertools import permutations, product
 
@@ -7,8 +8,9 @@ import pytest
 from latinhadamard import (DESIGN_16_CELL_VARIABLES, CellCounts, OrthogonalDesign,
                            SignedLatinSquare, ValidationError, builtin_design_16,
                            color, construct_latin_square, decompose,
-                           design_to_eigenbasis, enumerate_colorings, radon,
-                           verify_design)
+                           design_to_eigenbasis, enumerate_colorings, num_free_choices,
+                           radon, verify_design)
+from latinhadamard import latin
 from latinhadamard.latin import LatinSquare
 
 from design_oracle import monomial_identity_holds
@@ -48,7 +50,7 @@ def test_defining_identity_holds():
 def flipped(H, i, j):
     signs = H.signs.copy()
     signs[i, j] = -signs[i, j]
-    return SignedLatinSquare(H.square, signs)
+    return SignedLatinSquare(signs * H.square.entries)
 
 
 def test_single_sign_flip_breaks_identity():
@@ -91,7 +93,7 @@ def test_kernel_agrees_with_oracle_on_every_small_design():
     for rows in product(*starting):
         entries = np.array(((1, 2, 3, 4),) + rows)
         if (np.sort(entries, axis=0) == np.arange(1, 5)[:, None]).all():
-            squares.append(LatinSquare(2, entries))
+            squares.append(LatinSquare(entries))
     maps = [m for m in product(range(1, 5), repeat=4)
             if set(m) == set(range(1, max(m) + 1))]
     free = [(i, j) for i in range(1, 4) for j in range(1, 4) if i != j]
@@ -102,7 +104,7 @@ def test_kernel_agrees_with_oracle_on_every_small_design():
             signs[0] = signs[:, 0] = 1
             for (i, j), s in zip(free, flips):
                 signs[i, j] = s
-            H = SignedLatinSquare(square, signs)
+            H = SignedLatinSquare(signs * square.entries)
             for variables in maps:
                 design = OrthogonalDesign(H, variables)
                 ok = verify_design(design)
@@ -111,6 +113,45 @@ def test_kernel_agrees_with_oracle_on_every_small_design():
                 valid += ok
     assert len(squares) == 4 and len(maps) == 75
     assert valid == 228
+
+
+def test_kernel_agrees_with_oracle_on_random_colorings_and_maps():
+    # Random colorings at w = 2..5, each with a random gap-free map of its
+    # symbols to variables, or with one variable per symbol.
+    rng = np.random.default_rng(20)
+    verdicts = []
+    for w in (2, 3, 4, 5):
+        n = 2 ** w
+        for trial in range(10):
+            H = color(construct_latin_square(w),
+                      rng.choice((-1, 1), size=num_free_choices(w)))
+            drawn = rng.integers(1, rng.integers(1, n + 1) + 1, size=n)
+            variables = np.unique(drawn, return_inverse=True)[1] + 1
+            for phi in (variables, np.arange(1, n + 1)):
+                design = OrthogonalDesign(H, phi)
+                ok = verify_design(design)
+                assert ok == monomial_identity_holds(design.entries, design.type), \
+                    (w, H.choices, phi)
+                verdicts.append(ok)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_verify_design_memory_follows_the_terms():
+    # One variable per symbol at w = 6: an n x n x (l+1) x (l+1) grid of
+    # monomial coefficients would take 141 MiB; the surviving terms take
+    # far less.  The frame cache is cleared so the kernel's first call
+    # counts too.  No coloring at w = 6 is Latin-Hadamard.
+    H = color(construct_latin_square(6), (1,) * num_free_choices(6))
+    design = OrthogonalDesign(H, np.arange(1, 65))
+    latin._quad_frame.cache_clear()
+    tracemalloc.start()
+    try:
+        ok = verify_design(design)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok is False
+    assert peak < 32 * 2 ** 20
 
 
 def test_doubled_design_on_32_cells():

@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from latinhadamard import (InternalConsistencyError, SizeError, ValidationError,
-                           construct_latin_square, enumerate_abba_quads,
+from latinhadamard import (InternalConsistencyError, SignedLatinSquare, SizeError,
+                           ValidationError, construct_latin_square, enumerate_abba_quads,
                            quad_sign_products, sylvester_hadamard)
 from latinhadamard import latin
 from latinhadamard.latin import CornerQuad, LatinSquare
@@ -123,8 +123,8 @@ def test_partner_closure(w):
 
 def test_partner_detects_broken_square():
     # cyclic Latin square: Latin but without the AB-BA corner property
-    cyclic = LatinSquare(2, [[1, 2, 3, 4], [2, 3, 4, 1],
-                             [3, 4, 1, 2], [4, 1, 2, 3]])
+    cyclic = LatinSquare([[1, 2, 3, 4], [2, 3, 4, 1],
+                          [3, 4, 1, 2], [4, 1, 2, 3]])
     with pytest.raises(InternalConsistencyError):
         find_abba_partner(cyclic, 1, 1, 2)
     with pytest.raises(InternalConsistencyError):
@@ -133,9 +133,9 @@ def test_partner_detects_broken_square():
 
 def test_latin_square_rejects_repeated_symbols():
     with pytest.raises(ValidationError):
-        LatinSquare(1, [[1, 2], [1, 2]])
+        LatinSquare([[1, 2], [1, 2]])
     with pytest.raises(ValidationError):
-        LatinSquare(1, [[1, 3], [3, 1]])
+        LatinSquare([[1, 3], [3, 1]])
 
 
 def _rolled_square_8():
@@ -226,12 +226,7 @@ def test_quad_kernel_size_guard():
         quad_sign_products(np.ones((256, 256), dtype=np.int64), np.ones((256, 256)))
 
 
-def one_by_one_square(w):
-    """A LatinSquare of exponent w holding [[1]]: only w == 0 is valid."""
-    return LatinSquare(w, [[1]])
-
-
-@pytest.mark.parametrize("build", (construct_latin_square, sylvester_hadamard, one_by_one_square))
+@pytest.mark.parametrize("build", (construct_latin_square, sylvester_hadamard))
 def test_square_exponent_ceiling(build):
     # rejected before the 2**w x 2**w int64 matrix is allocated
     tracemalloc.start()
@@ -244,11 +239,47 @@ def test_square_exponent_ceiling(build):
     assert peak < 2 ** 20
 
 
-@pytest.mark.parametrize("build", (construct_latin_square, sylvester_hadamard, one_by_one_square))
+@pytest.mark.parametrize("build", (construct_latin_square, sylvester_hadamard))
 @pytest.mark.parametrize("w", (-1, 2.5, float("nan")))
 def test_exponent_must_be_a_non_negative_integer(build, w):
     with pytest.raises(ValidationError, match="non-negative integer"):
         build(w)
+
+
+SQUARE_CONSTRUCTORS = pytest.mark.parametrize(
+    "build", (LatinSquare, SignedLatinSquare), ids=("LatinSquare", "SignedLatinSquare"))
+
+
+@SQUARE_CONSTRUCTORS
+def test_square_order_ceiling(build):
+    # The order comes from the shape: an order-2**11 view is rejected
+    # before any copy of its 2**22 entries is made.
+    entries = np.broadcast_to(np.int64(1), (2 ** 11, 2 ** 11))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError, match=f"limited to 2\\*\\*{latin.SQUARE_MAX_W}"):
+            build(entries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@SQUARE_CONSTRUCTORS
+@pytest.mark.parametrize("entries", (
+    [[1, 2, 3], [2, 3, 1], [3, 1, 2]],  # Latin, but of order 3
+    [[1, 2, 3, 4], [2, 1, 4, 3]],  # not square
+    [], [[]], [1, 2], [[[1]]], 1,
+), ids=("order-3", "2x4", "empty", "0x0", "vector", "3-d", "scalar"))
+def test_square_order_must_be_a_power_of_two(build, entries):
+    with pytest.raises(ValidationError, match="must form a 2\\*\\*w x 2\\*\\*w array"):
+        build(entries)
+
+
+@SQUARE_CONSTRUCTORS
+def test_one_by_one_square(build):
+    square = build([[1]])
+    assert (square.w, square.n) == (0, 1)
 
 
 def test_quad_kernel_memory_at_the_size_limit():
@@ -293,7 +324,7 @@ def test_structured_square_has_the_unit_structure(w):
 
 
 def test_unit_structure_is_computed_on_first_use():
-    square = LatinSquare(2, construct_latin_square(2).entries)
+    square = LatinSquare(construct_latin_square(2).entries)
     assert square._unit is None
     assert square.unit_structure == (True, True)
     assert square._unit == (True, True)

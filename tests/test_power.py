@@ -505,7 +505,7 @@ class TestSimulation:
         entries = alternate_signed_square_8().signed_entries()
         entries[1, 2] = -entries[1, 2]
         with pytest.raises(ValidationError, match="not a Latin-Hadamard matrix"):
-            _basis(matrix=SignedLatinSquare.from_signed_entries(entries))
+            _basis(matrix=SignedLatinSquare(entries))
 
     @pytest.mark.parametrize("basis", [canonical_signed_square_8(), None,
                                        _SYLVESTER_16.matrix],

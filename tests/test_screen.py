@@ -35,10 +35,8 @@ OWNERS = [
      [1 / 16] * 9, False),
     ("multiply_left", lambda x: _TABLE.multiply(x, _UNIT), _UNIT, True),
     ("multiply_right", lambda x: _TABLE.multiply(_UNIT, x), _UNIT, True),
-    ("from_signed_entries", SignedLatinSquare.from_signed_entries, [[1, 2], [2, -1]], True),
-    ("LatinSquare", lambda x: LatinSquare(1, x), [[1, 2], [2, 1]], True),
-    ("SignedLatinSquare", lambda x: SignedLatinSquare(construct_latin_square(1), x),
-     [[1, 1], [1, -1]], True),
+    ("LatinSquare", LatinSquare, [[1, 2], [2, 1]], True),
+    ("SignedLatinSquare", SignedLatinSquare, [[1, 2], [2, -1]], True),
     ("OrthogonalDesign", lambda x: OrthogonalDesign(color(construct_latin_square(1), ()), x),
      [1, 2], True),
 ]
