@@ -6,7 +6,10 @@ it.  Each must raise ValidationError and emit no warning on the way.
 """
 
 import copy
+import json
 import math
+import os
+import tempfile
 import warnings
 
 import numpy as np
@@ -16,11 +19,21 @@ from latinhadamard import (Eigenbasis, OrthogonalDesign, ProbabilityVector,
                            SignedLatinSquare, ValidationError, builtin_design_16,
                            cayley_dickson_table, color, construct_latin_square,
                            design_to_eigenbasis, eigenbasis_from_sign_matrix)
+from latinhadamard import cli
 from latinhadamard.latin import LatinSquare
 
 _R = math.sqrt(0.5)
 _TABLE = cayley_dickson_table(2)
 _UNIT = [1, 0, 0, 0]
+
+
+def _from_signed_entries(entries):
+    """A signed matrix written to a file and read back as ``--matrix`` reads it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "H.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"H": entries}, fh)
+        return cli._load_matrix(path)
 
 # (owner, call, a valid input, whether the owner's entries are integers)
 OWNERS = [
@@ -35,6 +48,7 @@ OWNERS = [
      [1 / 16] * 9, False),
     ("multiply_left", lambda x: _TABLE.multiply(x, _UNIT), _UNIT, True),
     ("multiply_right", lambda x: _TABLE.multiply(_UNIT, x), _UNIT, True),
+    ("from_signed_entries", _from_signed_entries, [[1, 2], [2, -1]], True),
     ("LatinSquare", LatinSquare, [[1, 2], [2, 1]], True),
     ("SignedLatinSquare", SignedLatinSquare, [[1, 2], [2, -1]], True),
     ("OrthogonalDesign", lambda x: OrthogonalDesign(color(construct_latin_square(1), ()), x),
