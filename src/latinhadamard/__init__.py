@@ -12,15 +12,12 @@ Monte Carlo power harness.
 from .algebra import (AlgebraTable, ZeroDivisorPair, cayley_dickson_table,
                       find_zero_divisors, radon, table_from_signed_square)
 from .chisq import (CellCounts, Decomposition, Eigenbasis, ProbabilityVector,
-                    alternate_signed_square_8, canonical_signed_square_8,
-                    component_formulas_t2_t6_t8, decompose,
+                    alternate_signed_square_8, canonical_signed_square_8, decompose,
                     eigen_interlacing_check, eigenbasis_from_latin_hadamard,
-                    eigenbasis_from_sign_matrix, pearson_x2, scaled_residuals,
-                    sigma, sigma_star, sylvester_hadamard)
+                    eigenbasis_from_sign_matrix, sigma, sigma_star, sylvester_hadamard)
 from .coloring import (SignedLatinSquare, choices_from_bitstring,
                        choices_to_bitstring, color, enumerate_colorings,
-                       is_latin_hadamard, num_free_choices,
-                       partial_orthogonality_report)
+                       is_latin_hadamard, num_free_choices)
 from .design import (DESIGN_16_CELL_VARIABLES, OrthogonalDesign, builtin_design_16,
                      design_to_eigenbasis, verify_design)
 from .errors import InternalConsistencyError, SizeError, ValidationError

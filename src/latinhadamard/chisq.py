@@ -14,20 +14,19 @@ matrices cover the equiprobable case at any power of two.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coloring import SignedLatinSquare, color, is_latin_hadamard
-from .errors import InternalConsistencyError, ValidationError
-from .latin import _exponent, _screen, construct_latin_square
+from .errors import InternalConsistencyError, SizeError, ValidationError
+from .latin import SQUARE_MAX_W, _exponent, _screen, construct_latin_square
 
 __all__ = [
     "ProbabilityVector", "CellCounts", "Eigenbasis", "Decomposition",
-    "pearson_x2", "scaled_residuals", "sigma", "sigma_star",
-    "eigenbasis_from_latin_hadamard", "eigenbasis_from_sign_matrix",
-    "decompose", "component_formulas_t2_t6_t8",
-    "eigen_interlacing_check", "sylvester_hadamard",
+    "sigma", "sigma_star", "eigenbasis_from_latin_hadamard", "eigenbasis_from_sign_matrix",
+    "decompose", "eigen_interlacing_check", "sylvester_hadamard",
     "canonical_signed_square_8", "alternate_signed_square_8",
 ]
 
@@ -71,7 +70,12 @@ class ProbabilityVector:
 
     @classmethod
     def equiprobable(cls, k: int) -> "ProbabilityVector":
-        return cls(np.full(k, 1.0 / k))
+        """k equal probabilities, k an integer in 2..2**SQUARE_MAX_W (the largest basis)."""
+        if isinstance(k, numbers.Real) and k > 2 ** SQUARE_MAX_W:
+            raise SizeError(f"cell count is limited to 2**{SQUARE_MAX_W}, got {k!r}")
+        if not (isinstance(k, numbers.Real) and k >= 2 and int(k) == k):
+            raise ValidationError(f"cell count must be an integer of at least 2, got {k!r}")
+        return cls(np.full(int(k), 1.0 / k))
 
     @property
     def k(self) -> int:
@@ -150,10 +154,6 @@ class Eigenbasis:
     def k(self) -> int:
         return self.p.k
 
-    def component_vectors(self) -> np.ndarray:
-        """Columns 2..k as a k x (k-1) array."""
-        return self.matrix[:, 1:]
-
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
@@ -166,31 +166,6 @@ class Decomposition:
     def sum_check(self) -> float:
         """X^2 minus the component sum of squares (should be ~0)."""
         return self.x2 - float(np.square(self.components).sum())
-
-
-def _check_dims(m: CellCounts, p: ProbabilityVector) -> None:
-    if m.k != p.k:
-        raise ValidationError(f"counts have {m.k} cells but probabilities have {p.k}")
-
-
-def pearson_x2(m: CellCounts, p: ProbabilityVector) -> float:
-    """Sum of (observed - expected)^2 / expected over all cells."""
-    _check_dims(m, p)
-    return _pearson_x2(m, m.n * p.p)
-
-
-def _pearson_x2(m: CellCounts, expected: np.ndarray) -> float:
-    return float((np.square(m.m - expected) / expected).sum())
-
-
-def scaled_residuals(m: CellCounts, p: ProbabilityVector) -> np.ndarray:
-    """y_i = (m_i - n p_i) / sqrt(n p_i); satisfies y'y = X^2."""
-    _check_dims(m, p)
-    return _scaled_residuals(m, m.n * p.p)
-
-
-def _scaled_residuals(m: CellCounts, expected: np.ndarray) -> np.ndarray:
-    return (m.m - expected) / np.sqrt(expected)
 
 
 def sigma(p: ProbabilityVector) -> np.ndarray:
@@ -237,21 +212,23 @@ def eigenbasis_from_sign_matrix(signs: np.ndarray,
 
 
 def decompose(m: CellCounts, p: ProbabilityVector, basis: Eigenbasis) -> Decomposition:
-    """Project scaled residuals onto columns 2..k of a basis built for p.
+    """Project the scaled residuals y_i = (m_i - n p_i) / sqrt(n p_i) onto
+    columns 2..k of a basis built for p.
 
     The first-column term is omitted because it is identically zero
     (count conservation); the remaining squares sum to X^2 exactly, and
     the identity is re-checked numerically here, against X^2 summed
     directly over the cells rather than from the residuals.
     """
-    _check_dims(m, p)
+    if m.k != p.k:
+        raise ValidationError(f"counts have {m.k} cells but probabilities have {p.k}")
     if basis.p is not p and not np.array_equal(basis.p.p, p.p):
         raise ValidationError("basis was built for other cell probabilities")
     expected = m.n * p.p
     with np.errstate(over="ignore"):
-        y = _scaled_residuals(m, expected)
-        components = basis.component_vectors().T @ y
-        x2 = _pearson_x2(m, expected)
+        y = (m.m - expected) / np.sqrt(expected)
+        components = basis.matrix[:, 1:].T @ y
+        x2 = float((np.square(m.m - expected) / expected).sum())
         squares = np.square(components).sum()
     if not (math.isfinite(x2) and math.isfinite(squares)):
         raise ValidationError(
@@ -275,50 +252,12 @@ def canonical_signed_square_8() -> SignedLatinSquare:
 def alternate_signed_square_8() -> SignedLatinSquare:
     """A sibling component basis differing in one free choice.
 
-    Its columns 6 and 8 realize the closed-form T_6 and T_8 below
+    Its columns 6 and 8 realize the closed-form T_6 and T_8
     (the canonical matrix's columns 6 and 8 differ from them in one
     pair contrast each).  Both bases partition the Pearson statistic;
     the power-study reproduction needs both.  Choice vector (-,-,-,-).
     """
     return color(construct_latin_square(3), (-1, -1, -1, -1))
-
-
-def _weighted_difference(p_hat, p, a, b) -> float:
-    """sqrt(p_b/p_a) * p_hat_a - sqrt(p_a/p_b) * p_hat_b (1-based cells)."""
-    a -= 1
-    b -= 1
-    return (math.sqrt(p[b] / p[a]) * p_hat[a]
-            - math.sqrt(p[a] / p[b]) * p_hat[b])
-
-
-def component_formulas_t2_t6_t8(m: CellCounts, p: ProbabilityVector):
-    """Direct weighted-difference evaluation of T_2, T_6, T_8 at k = 8.
-
-    T_2 equals the projection of the scaled residuals onto column 2 of
-    the canonical matrix; T_6 and T_8 equal the projections onto
-    columns 6 and 8 of the alternate matrix.  Each is a sum of four
-    weighted differences of sample proportions, one per cell pair, so
-    every cell count enters exactly once.
-    """
-    _check_dims(m, p)
-    if p.k != 8:
-        raise ValidationError("the closed-form components are defined for 8 cells")
-    p_hat = m.m / m.n
-    root_n = math.sqrt(m.n)
-    pv = p.p
-    t2 = root_n * (_weighted_difference(p_hat, pv, 1, 2)
-                   + _weighted_difference(p_hat, pv, 3, 4)
-                   + _weighted_difference(p_hat, pv, 5, 6)
-                   + _weighted_difference(p_hat, pv, 7, 8))
-    t6 = root_n * (_weighted_difference(p_hat, pv, 1, 6)
-                   + _weighted_difference(p_hat, pv, 2, 5)
-                   - _weighted_difference(p_hat, pv, 3, 8)
-                   + _weighted_difference(p_hat, pv, 4, 7))
-    t8 = root_n * (_weighted_difference(p_hat, pv, 1, 8)
-                   - _weighted_difference(p_hat, pv, 2, 7)
-                   + _weighted_difference(p_hat, pv, 3, 6)
-                   + _weighted_difference(p_hat, pv, 4, 5))
-    return t2, t6, t8
 
 
 def eigen_interlacing_check(p: ProbabilityVector) -> bool:

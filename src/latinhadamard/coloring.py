@@ -21,13 +21,13 @@ import functools
 import numpy as np
 
 from .errors import SizeError, ValidationError
-from .latin import LatinSquare, _screen, _square_order, construct_latin_square, quad_sign_products
+from .latin import (LatinSquare, _exponent, _screen, _square_order, construct_latin_square,
+                    quad_sign_products)
 
 __all__ = [
     "SignedLatinSquare", "num_free_choices",
     "choices_from_bitstring", "choices_to_bitstring", "color",
     "enumerate_colorings", "is_latin_hadamard",
-    "partial_orthogonality_report",
 ]
 
 EXHAUSTIVE_MAX_W = 4
@@ -111,7 +111,8 @@ class SignedLatinSquare:
 
 
 def num_free_choices(w: int) -> int:
-    """Number of free sign choices when coloring the 2**w square."""
+    """Number of free sign choices when coloring the 2**w square, w <= SQUARE_MAX_W."""
+    w = _exponent(w)
     return 2 ** w - (w + 1)
 
 
@@ -232,18 +233,3 @@ def is_latin_hadamard(H: SignedLatinSquare) -> bool:
     """
     _, open_corners, product = quad_sign_products(H.square.entries, H.signs)
     return not len(open_corners) and bool((product == -1).all())
-
-
-def partial_orthogonality_report(H: SignedLatinSquare) -> set:
-    """Unordered 1-based column pairs whose symbolic dot product vanishes.
-
-    Exactly the column pairs (k, l) with an open AB-BA corner or a
-    closed quad whose sign product is not -1 have a nonzero dot product.
-    """
-    n = H.n
-    quads, open_corners, product = quad_sign_products(H.square.entries, H.signs)
-    failed = np.zeros((n, n), dtype=bool)
-    for _, _, k, l in (quads[product != -1].T, open_corners.T):
-        failed[k, l] = failed[l, k] = True
-    k, l = np.nonzero(np.triu(~failed, 1))
-    return set(zip((k + 1).tolist(), (l + 1).tolist()))

@@ -285,7 +285,7 @@ def _replication_streams(master_seed: int, reps: range):
 
 def _run_block(cfg: PowerSimConfig, scheme: BinningScheme, chi_crit: float,
                z_crit: float, rep_range: range) -> np.ndarray:
-    vectors = cfg.basis.component_vectors()
+    vectors = cfg.basis.matrix[:, 1:]
     expected = cfg.n * cfg.basis.p.p
     sqrt_expected = np.sqrt(expected)
     rows = max(1, min(BLOCK_DRAWS // cfg.n, len(rep_range)))

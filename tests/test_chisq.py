@@ -5,23 +5,30 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latinhadamard import chisq
 from latinhadamard import (CellCounts, Eigenbasis, ProbabilityVector,
-                           SignedLatinSquare, ValidationError,
+                           SignedLatinSquare, SizeError, ValidationError,
                            alternate_signed_square_8, canonical_signed_square_8,
-                           color, component_formulas_t2_t6_t8,
-                           construct_latin_square, decompose,
+                           color, construct_latin_square, decompose,
                            eigen_interlacing_check,
                            eigenbasis_from_latin_hadamard,
-                           eigenbasis_from_sign_matrix, num_free_choices, pearson_x2,
-                           scaled_residuals, sigma, sigma_star,
-                           sylvester_hadamard)
+                           eigenbasis_from_sign_matrix, num_free_choices,
+                           sigma, sigma_star, sylvester_hadamard)
 
+from closed_form_oracle import (component_formulas_t2_t6_t8, loop_pearson_x2,
+                                loop_scaled_residuals)
 from reference_tables import VALID_SIGNED_SQUARES_8
 
 
 def random_probability(rng, k, low=0.2, high=2.0):
     return ProbabilityVector.proportional_to(rng.uniform(low, high, size=k))
+
+
+def basis_for(p):
+    """A Latin-Hadamard eigenbasis for 2, 4 or 8 cells."""
+    signed = {2: color(construct_latin_square(1), ()),
+              4: color(construct_latin_square(2), (1,)),
+              8: canonical_signed_square_8()}
+    return eigenbasis_from_latin_hadamard(signed[p.k], p)
 
 
 class TestInputs:
@@ -47,6 +54,19 @@ class TestInputs:
         p = ProbabilityVector.proportional_to([1, 2, 3, 4])
         assert np.allclose(p.p, [0.1, 0.2, 0.3, 0.4])
         assert np.allclose(ProbabilityVector.equiprobable(8).p, 1 / 8)
+        for k in (2, np.int64(3), 4.0, 2 ** 10):
+            assert ProbabilityVector.equiprobable(k).k == k
+
+    @pytest.mark.parametrize("k,error", [(0, ValidationError), (1, ValidationError),
+                                         (-1, ValidationError), (2.5, ValidationError),
+                                         ("4", ValidationError), (None, ValidationError),
+                                         (math.nan, ValidationError),
+                                         (2 ** 10 + 1, SizeError), (10 ** 12, SizeError),
+                                         (math.inf, SizeError)])
+    def test_equiprobable_screens_the_cell_count(self, k, error):
+        # SizeError comes before np.full: 10**12 cells would be 7.28 TiB
+        with pytest.raises(error, match="^cell count "):
+            ProbabilityVector.equiprobable(k)
 
     def test_counts_validation(self):
         with pytest.raises(ValidationError):
@@ -81,11 +101,7 @@ class TestInputs:
             with pytest.raises(ValidationError, match="^weights must have a finite sum$"):
                 ProbabilityVector.proportional_to(weights)
 
-    @pytest.mark.parametrize("use", [
-        lambda m, p: m,
-        pearson_x2,
-        component_formulas_t2_t6_t8,
-    ], ids=["CellCounts", "pearson_x2", "component_formulas_t2_t6_t8"])
+    @pytest.mark.parametrize("use", [lambda m, p: m], ids=["CellCounts"])
     def test_zero_total_rejected_without_warning(self, use):
         p = ProbabilityVector.equiprobable(8)
         with warnings.catch_warnings():
@@ -103,33 +119,39 @@ class TestPearson:
     def test_perfect_fit_is_zero(self):
         p = ProbabilityVector.proportional_to([1, 2, 3, 4])
         m = CellCounts((100 * p.p).astype(int))
-        assert pearson_x2(m, p) == 0.0
+        assert decompose(m, p, basis_for(p)).x2 == 0.0
 
     def test_hand_value(self):
-        assert pearson_x2(CellCounts([6, 4]), ProbabilityVector([0.5, 0.5])) == pytest.approx(0.4, abs=1e-15)
+        p = ProbabilityVector([0.5, 0.5])
+        assert decompose(CellCounts([6, 4]), p, basis_for(p)).x2 == pytest.approx(0.4, abs=1e-15)
 
     def test_against_independent_loop(self):
         rng = np.random.default_rng(11)
         p = random_probability(rng, 8)
         m = CellCounts(rng.multinomial(200, p.p))
-        total = 0.0
-        for i in range(8):
-            expected = 200 * p.p[i]
-            total += (int(m.m[i]) - expected) ** 2 / expected
-        assert pearson_x2(m, p) == pytest.approx(total, rel=1e-14)
+        total = loop_pearson_x2(m, p)
+        assert decompose(m, p, basis_for(p)).x2 == pytest.approx(total, rel=1e-14)
 
     def test_dimension_mismatch(self):
+        p = ProbabilityVector([0.5, 0.5])
         with pytest.raises(ValidationError):
-            pearson_x2(CellCounts([1, 2, 3]), ProbabilityVector([0.5, 0.5]))
+            decompose(CellCounts([1, 2, 3]), p, basis_for(p))
 
 
 class TestScaledResiduals:
+    # The components are the coordinates of the scaled residuals y in
+    # columns 2..k; the first coordinate, sqrt(p).y, is zero by count
+    # conservation, so those columns alone rebuild y.
     def test_perfect_fit(self):
         p = ProbabilityVector([0.5, 0.5])
-        assert np.array_equal(scaled_residuals(CellCounts([5, 5]), p), [0, 0])
+        result = decompose(CellCounts([5, 5]), p, basis_for(p))
+        assert np.array_equal(result.components, [0])
 
     def test_hand_value(self):
-        y = scaled_residuals(CellCounts([6, 4]), ProbabilityVector([0.5, 0.5]))
+        p = ProbabilityVector([0.5, 0.5])
+        basis = basis_for(p)
+        result = decompose(CellCounts([6, 4]), p, basis)
+        y = basis.matrix[:, 1:] @ result.components
         assert np.allclose(y, [1 / math.sqrt(5), -1 / math.sqrt(5)])
 
     def test_count_conservation_and_norm(self):
@@ -137,9 +159,13 @@ class TestScaledResiduals:
         for _ in range(50):
             p = random_probability(rng, 8)
             m = CellCounts(rng.multinomial(150, p.p))
-            y = scaled_residuals(m, p)
-            assert abs(float(y @ np.sqrt(150 * p.p))) < 1e-9
-            assert float(y @ y) == pytest.approx(pearson_x2(m, p), rel=1e-12)
+            y = loop_scaled_residuals(m, p)
+            assert abs(float(np.dot(y, np.sqrt(150 * p.p)))) < 1e-9
+            basis = basis_for(p)
+            result = decompose(m, p, basis)
+            assert np.abs(basis.matrix[:, 1:] @ result.components - y).max() < 1e-9
+            assert float(result.components @ result.components) == pytest.approx(
+                loop_pearson_x2(m, p), rel=1e-12)
 
 
 class TestCovariance:
@@ -254,19 +280,14 @@ class TestDecompose:
             with pytest.raises(ValidationError, match="overflows"):
                 decompose(CellCounts([1] * 8), p, basis)
 
-    def test_dims_checked_once_and_x2_summed_over_the_cells(self, monkeypatch):
+    def test_dims_checked_once_and_x2_summed_over_the_cells(self):
         rng = np.random.default_rng(23)
         p = random_probability(rng, 8)
         m = CellCounts(rng.multinomial(300, p.p))
         basis = eigenbasis_from_latin_hadamard(canonical_signed_square_8(), p)
-        checks = []
-        check_dims = chisq._check_dims
-        monkeypatch.setattr(chisq, "_check_dims",
-                            lambda *args: checks.append(args) or check_dims(*args))
         result = decompose(m, p, basis)
-        assert len(checks) == 1
         # X^2 comes from the cells, the independent side of the partition check.
-        assert result.x2 == pearson_x2(m, p)
+        assert result.x2 == loop_pearson_x2(m, p)
         with pytest.raises(ValidationError, match="counts have 4 cells"):
             decompose(CellCounts([1, 2, 3, 4]), p, basis)
 
@@ -282,7 +303,7 @@ class TestDecompose:
                 decompose(m, p, basis)
         # a basis built for an equal vector, not the same object, is accepted
         basis = eigenbasis_from_latin_hadamard(H, ProbabilityVector(p.p))
-        assert decompose(m, p, basis).x2 == pearson_x2(m, p)
+        assert decompose(m, p, basis).x2 == loop_pearson_x2(m, p)
 
     def test_empty_counts_rejected(self):
         p = ProbabilityVector.equiprobable(2)

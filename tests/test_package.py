@@ -25,3 +25,27 @@ def test_every_package_name_comes_from_a_module():
     stray = [name for name, value in vars(latinhadamard).items()
              if not name.startswith("_") and not inspect.ismodule(value) and name not in public]
     assert not stray, f"latinhadamard exports {stray}, which no module's __all__ names"
+
+
+# Adding or removing a public name is an API change: it edits this list.
+PUBLIC_NAMES = [
+    "AlgebraTable", "BinningScheme", "CellCounts", "CornerQuad", "DESIGN_16_CELL_VARIABLES",
+    "Decomposition", "DistributionSpec", "Eigenbasis", "InternalConsistencyError",
+    "LatinSquare", "OrthogonalDesign", "PowerSimConfig", "PowerSimResult",
+    "ProbabilityVector", "SignedLatinSquare", "SizeError", "ValidationError",
+    "ZeroDivisorPair", "alternate_signed_square_8", "bin_edges", "builtin_design_16",
+    "canonical_signed_square_8", "cayley_dickson_table", "chi_square_critical",
+    "choices_from_bitstring", "choices_to_bitstring", "color", "construct_latin_square",
+    "decompose", "design_to_eigenbasis", "eigen_interlacing_check",
+    "eigenbasis_from_latin_hadamard", "eigenbasis_from_sign_matrix", "enumerate_abba_quads",
+    "enumerate_colorings", "find_zero_divisors", "is_latin_hadamard", "matched_normal_null",
+    "normal_critical", "num_free_choices", "preset_probability", "quad_sign_products",
+    "radon", "sigma", "sigma_star", "simulate_power", "sylvester_hadamard",
+    "table_from_signed_square", "verify_design",
+]
+
+
+def test_public_names_are_pinned():
+    public = sorted(name for name, value in vars(latinhadamard).items()
+                    if not name.startswith("_") and not inspect.ismodule(value))
+    assert public == PUBLIC_NAMES
