@@ -19,7 +19,7 @@ import numpy as np
 
 from .coloring import SignedLatinSquare, color, num_free_choices
 from .errors import SizeError, ValidationError
-from .latin import _screen, construct_latin_square, quad_sign_products
+from .latin import construct_latin_square, quad_sign_products
 
 __all__ = ["AlgebraTable", "ZeroDivisorPair", "cayley_dickson_table",
            "table_from_signed_square", "find_zero_divisors", "radon"]
@@ -42,19 +42,6 @@ class AlgebraTable:
         if not squares_to_unit:
             raise ValidationError("non-unit basis elements must square to -e_1")
         self.dim, self.signs, self.indices = signed.n, signed.signs, signed.square.entries
-
-    def multiply(self, a, b) -> np.ndarray:
-        """Bilinear product of integer coefficient vectors, exact.
-
-        Coefficients are bounded by 2**26, so each product is at most
-        2**52 and a sum of dim**2 <= 2**10 of them fits in int64.
-        """
-        a, b = (_screen(v, "coefficient vectors", -2 ** 26, 2 ** 26, (self.dim,)) for v in (a, b))
-        out = np.zeros(self.dim, dtype=np.int64)
-        for i in np.nonzero(a)[0]:
-            for j in np.nonzero(b)[0]:
-                out[self.indices[i, j] - 1] += a[i] * b[j] * self.signs[i, j]
-        return out
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, AlgebraTable)

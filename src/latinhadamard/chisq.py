@@ -13,13 +13,14 @@ matrices cover the equiprobable case at any power of two.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coloring import SignedLatinSquare, color, is_latin_hadamard
+from .coloring import SignedLatinSquare, choices_from_bitstring, color, is_latin_hadamard
 from .errors import InternalConsistencyError, SizeError, ValidationError
 from .latin import SQUARE_MAX_W, _exponent, _screen, construct_latin_square
 
@@ -36,6 +37,7 @@ _COUNT_TOTAL_MAX = 2 ** 63 - 1
 ORTHONORMALITY_TOL = 1e-12
 PARTITION_REL_TOL = 1e-10
 _INTERLACING_TOL = 1e-9
+_OVERFLOW_MESSAGE = "the Pearson statistic overflows: some expected cell counts are too small"
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,6 +213,14 @@ def eigenbasis_from_sign_matrix(signs: np.ndarray,
     return Eigenbasis(signs / math.sqrt(p.k), p)
 
 
+def _pearson_components(counts: np.ndarray, n: int, basis: Eigenbasis):
+    """(X^2 summed over the cells, T_2..T_k) of counts of shape (..., k) totalling n."""
+    expected = n * basis.p.p
+    deviation = counts - expected
+    x2 = (deviation ** 2 / expected).sum(-1)
+    return x2, (deviation / np.sqrt(expected)) @ basis.matrix[:, 1:]
+
+
 def decompose(m: CellCounts, p: ProbabilityVector, basis: Eigenbasis) -> Decomposition:
     """Project the scaled residuals y_i = (m_i - n p_i) / sqrt(n p_i) onto
     columns 2..k of a basis built for p.
@@ -224,19 +234,28 @@ def decompose(m: CellCounts, p: ProbabilityVector, basis: Eigenbasis) -> Decompo
         raise ValidationError(f"counts have {m.k} cells but probabilities have {p.k}")
     if basis.p is not p and not np.array_equal(basis.p.p, p.p):
         raise ValidationError("basis was built for other cell probabilities")
-    expected = m.n * p.p
     with np.errstate(over="ignore"):
-        y = (m.m - expected) / np.sqrt(expected)
-        components = basis.matrix[:, 1:].T @ y
-        x2 = float((np.square(m.m - expected) / expected).sum())
+        x2, components = _pearson_components(m.m, m.n, basis)
+        x2 = float(x2)
         squares = np.square(components).sum()
     if not (math.isfinite(x2) and math.isfinite(squares)):
-        raise ValidationError(
-            "the Pearson statistic overflows: some expected cell counts are too small")
+        raise ValidationError(_OVERFLOW_MESSAGE)
     if abs(x2 - squares) > PARTITION_REL_TOL * max(1.0, x2):
         raise InternalConsistencyError(
             "component squares do not reproduce the Pearson statistic")
     return Decomposition(components=components, x2=x2)
+
+
+@functools.cache
+def _builtin_square(index: int) -> SignedLatinSquare:
+    """Coloring ``index`` of the 8x8 square, built once per process.
+
+    All 16 colorings of the 8x8 square are Latin-Hadamard, so the i-th
+    valid matrix in enumeration order is coloring i itself.  Callers
+    check 0 <= index < 16 first, which bounds the cache at 16 squares;
+    each is immutable, so sharing it between calls is safe.
+    """
+    return color(construct_latin_square(3), choices_from_bitstring(format(index, "04b")))
 
 
 def canonical_signed_square_8() -> SignedLatinSquare:
@@ -244,9 +263,9 @@ def canonical_signed_square_8() -> SignedLatinSquare:
 
     Its columns define the T_2..T_8 statistics the power simulation
     reports by default; column 8 is a clean location contrast and
-    column 6 an opposite-tails contrast.  Choice vector (-,-,+,-).
+    column 6 an opposite-tails contrast.  Shared: coloring 13, (-,-,+,-).
     """
-    return color(construct_latin_square(3), (-1, -1, 1, -1))
+    return _builtin_square(0b1101)
 
 
 def alternate_signed_square_8() -> SignedLatinSquare:
@@ -255,9 +274,9 @@ def alternate_signed_square_8() -> SignedLatinSquare:
     Its columns 6 and 8 realize the closed-form T_6 and T_8
     (the canonical matrix's columns 6 and 8 differ from them in one
     pair contrast each).  Both bases partition the Pearson statistic;
-    the power-study reproduction needs both.  Choice vector (-,-,-,-).
+    the power-study reproduction needs both.  Shared: coloring 15, (-,-,-,-).
     """
-    return color(construct_latin_square(3), (-1, -1, -1, -1))
+    return _builtin_square(0b1111)
 
 
 def eigen_interlacing_check(p: ProbabilityVector) -> bool:

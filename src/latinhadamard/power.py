@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chisq import Eigenbasis, ProbabilityVector
+from .chisq import _OVERFLOW_MESSAGE, Eigenbasis, ProbabilityVector, _pearson_components
 from .errors import InternalConsistencyError, SizeError, ValidationError
 
 __all__ = [
@@ -235,6 +235,8 @@ class PowerSimConfig:
             raise SizeError(f"sample size is limited to {BLOCK_DRAWS} draws")
         if self.reps > MAX_REPS:
             raise SizeError(f"replications are limited to {MAX_REPS}")
+        if not math.isfinite(self.n / min(self.basis.p.p.tolist())):  # n / min p bounds X2
+            raise ValidationError(_OVERFLOW_MESSAGE)
 
     def resolve_basis(self) -> Eigenbasis:
         """The basis; kept only because ``perfbench --trace 1`` times this
@@ -285,9 +287,6 @@ def _replication_streams(master_seed: int, reps: range):
 
 def _run_block(cfg: PowerSimConfig, scheme: BinningScheme, chi_crit: float,
                z_crit: float, rep_range: range) -> np.ndarray:
-    vectors = cfg.basis.matrix[:, 1:]
-    expected = cfg.n * cfg.basis.p.p
-    sqrt_expected = np.sqrt(expected)
     rows = max(1, min(BLOCK_DRAWS // cfg.n, len(rep_range)))
     block = np.empty((rows, cfg.n))
     streams = _replication_streams(cfg.master_seed, rep_range)
@@ -297,9 +296,7 @@ def _run_block(cfg: PowerSimConfig, scheme: BinningScheme, chi_crit: float,
         # zip takes a row before a stream, so no stream is skipped
         for row, rng in zip(samples, streams):
             row[:] = cfg.alternative.sample(rng, cfg.n)
-        y = (scheme.bin_counts(samples) - expected) / sqrt_expected
-        x2 = np.einsum("ij,ij->i", y, y)
-        components = y @ vectors
+        x2, components = _pearson_components(scheme.bin_counts(samples), cfg.n, cfg.basis)
         rejections[0] += np.count_nonzero(x2 > chi_crit)
         rejections[1:] += np.count_nonzero(np.abs(components) > z_crit, axis=0)
     return rejections

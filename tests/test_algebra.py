@@ -12,6 +12,7 @@ from latinhadamard import (SignedLatinSquare, SizeError, ValidationError, builti
 from latinhadamard.algebra import AlgebraTable, ZeroDivisorPair
 
 from cayley_dickson_oracle import doubling_table
+from product_oracle import multiply
 from reference_tables import QUATERNION_TABLE, SIGNED_SQUARE_8
 
 
@@ -23,7 +24,7 @@ def basis_vector(dim, index, sign=1):
 
 def basis_product(table, i, j):
     """e_i * e_j as (sign, basis index), 1-based, read off the bilinear product."""
-    out = table.multiply(basis_vector(table.dim, i), basis_vector(table.dim, j))
+    out = multiply(table, basis_vector(table.dim, i), basis_vector(table.dim, j))
     (k,) = np.nonzero(out)[0]
     return int(out[k]), int(k) + 1
 
@@ -40,7 +41,7 @@ def brute_force_zero_divisors(table):
                         for s2 in (1, -1):
                             a = basis_vector(n, i) + s1 * basis_vector(n, j)
                             b = basis_vector(n, k) + s2 * basis_vector(n, l)
-                            if not table.multiply(a, b).any():
+                            if not multiply(table, a, b).any():
                                 found.append(ZeroDivisorPair(i, j, s1, k, l, s2))
     return found
 
@@ -102,7 +103,7 @@ def test_sedenions_have_zero_divisors():
     for z in divisors:
         a = basis_vector(16, z.i) + z.s1 * basis_vector(16, z.j)
         b = basis_vector(16, z.k) + z.s2 * basis_vector(16, z.l)
-        assert not table.multiply(a, b).any()
+        assert not multiply(table, a, b).any()
 
 
 def test_pruned_scan_equals_brute_force():

@@ -13,6 +13,7 @@ from latinhadamard import (CellCounts, Eigenbasis, ProbabilityVector,
                            eigenbasis_from_latin_hadamard,
                            eigenbasis_from_sign_matrix, num_free_choices,
                            sigma, sigma_star, sylvester_hadamard)
+from latinhadamard.chisq import _pearson_components
 
 from closed_form_oracle import (component_formulas_t2_t6_t8, loop_pearson_x2,
                                 loop_scaled_residuals)
@@ -280,14 +281,24 @@ class TestDecompose:
             with pytest.raises(ValidationError, match="overflows"):
                 decompose(CellCounts([1] * 8), p, basis)
 
-    def test_dims_checked_once_and_x2_summed_over_the_cells(self):
-        rng = np.random.default_rng(23)
+    def test_x2_summed_over_the_cells_by_decompose_and_the_engine(self):
+        # At seed 18 the cell sum differs in its last bits from y.y (as a
+        # dot product and as an einsum) and from the component squares,
+        # so taking X^2 from either would show.
+        rng = np.random.default_rng(18)
         p = random_probability(rng, 8)
         m = CellCounts(rng.multinomial(300, p.p))
         basis = eigenbasis_from_latin_hadamard(canonical_signed_square_8(), p)
         result = decompose(m, p, basis)
-        # X^2 comes from the cells, the independent side of the partition check.
+        y = np.array(loop_scaled_residuals(m, p))
         assert result.x2 == loop_pearson_x2(m, p)
+        assert result.x2 != y @ y
+        assert result.x2 != np.square(result.components).sum()
+        # The power engine's step, on a block whose rows are count vectors
+        x2, components = _pearson_components(np.stack([m.m[::-1], m.m]), m.n, basis)
+        assert x2[1] == loop_pearson_x2(m, p)
+        assert x2[1] != np.einsum("ij,ij->i", y[None], y[None])[0]
+        assert np.allclose(components[1], result.components, rtol=1e-14, atol=0)
         with pytest.raises(ValidationError, match="counts have 4 cells"):
             decompose(CellCounts([1, 2, 3, 4]), p, basis)
 

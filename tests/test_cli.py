@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import latinhadamard
-from latinhadamard import (ValidationError, canonical_signed_square_8, cli, coloring,
+from latinhadamard import (ValidationError, alternate_signed_square_8,
+                           canonical_signed_square_8, chisq, cli, coloring,
                            construct_latin_square, enumerate_colorings, power)
 from latinhadamard.cli import run
 from latinhadamard.power import BLOCK_DRAWS, MAX_REPS
@@ -230,6 +231,28 @@ def test_failed_power_worker_is_exit_two_in_one_line(capsys, monkeypatch):
     assert (code, out) == (2, "")
     assert err == ("latinhadamard: internal consistency failure: worker for "
                    "replications 25..49 failed: RuntimeError: worker failed\n")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_power_rejects_p_whose_x2_can_overflow_before_any_fork(capsys, monkeypatch, threads):
+    # 200 / 1e-320 is infinite: X2 would be infinite for any replication
+    # with a draw in the first cell, as decompose reports for such counts.
+    forks = []
+
+    def no_fork():
+        forks.append(threads)
+        raise OSError("no fork in this test")
+
+    monkeypatch.setattr(power.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(power.os, "fork", no_fork)
+    p = "1e-320,0.125,0.125,0.125,0.125,0.125,0.125,0.25"
+    message = ("latinhadamard: error: the Pearson statistic overflows: "
+               "some expected cell counts are too small\n")
+    assert invoke(capsys, "power", "--alt", "cauchy", "--p", p, "--reps", "200",
+                  "--format", "csv", "--threads", threads) == (1, "", message)
+    assert invoke(capsys, "decompose", "--p", p,
+                  "--counts", "1,25,25,25,25,25,25,49") == (1, "", message)
+    assert forks == []
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -495,13 +518,14 @@ def test_builtin_squares_are_built_once_and_read_only():
             with pytest.raises(ValueError, match="read-only"):
                 arr[0, 0] = arr[0, 0]
     assert cli._load_matrix(None) is cli._load_matrix("builtin:13")
-    assert cli._load_matrix(None) == canonical_signed_square_8()
+    assert cli._load_matrix(None) is canonical_signed_square_8()
+    assert cli._load_matrix("builtin:15") is alternate_signed_square_8()
     for spec, message in (("builtin:16", "builtin index must be 0..15, got 16"),
                           ("builtin:-1", "builtin index must be 0..15, got -1"),
                           ("builtin:x", "bad builtin matrix index 'x'")):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             cli._load_matrix(spec)
-    assert cli._builtin_square.cache_info().currsize <= 16
+    assert chisq._builtin_square.cache_info().currsize <= 16
 
 
 def _mixed_session(tmp_path, monkeypatch):

