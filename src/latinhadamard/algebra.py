@@ -19,7 +19,7 @@ import numpy as np
 
 from .coloring import SignedLatinSquare, color, num_free_choices
 from .errors import SizeError, ValidationError
-from .latin import construct_latin_square, quad_sign_products
+from .latin import _quad_frame, construct_latin_square
 
 __all__ = ["AlgebraTable", "ZeroDivisorPair", "cayley_dickson_table",
            "table_from_signed_square", "find_zero_divisors", "radon"]
@@ -30,10 +30,11 @@ class AlgebraTable:
     1-based basis labels; e_1 is the unit and every other basis element
     squares to -e_1.  Indices and signs are those of the signed square,
     which has already checked the Latin property and the signs; the unit
-    structure of its square decides the rest.
+    structure of its square decides the rest.  The table keeps the signed
+    square, so a zero-divisor scan reads the quad products it holds.
     """
 
-    __slots__ = ("dim", "signs", "indices")
+    __slots__ = ("dim", "signs", "indices", "_signed")
 
     def __init__(self, signed: SignedLatinSquare):
         unit, squares_to_unit = signed.square.unit_structure
@@ -42,6 +43,7 @@ class AlgebraTable:
         if not squares_to_unit:
             raise ValidationError("non-unit basis elements must square to -e_1")
         self.dim, self.signs, self.indices = signed.n, signed.signs, signed.square.entries
+        self._signed = signed
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, AlgebraTable)
@@ -105,17 +107,23 @@ def find_zero_divisors(table: AlgebraTable):
     this form.
     """
     G = table.signs
-    quads, _, product = quad_sign_products(table.indices, G)
-    # i >= 1 and k >= 1 keep the unit out, since j > i and l > k.
-    hits = np.flatnonzero((product == 1) & (quads[:, 0] >= 1) & (quads[:, 2] >= 1))
-    # The first hit is converted on its own, so a caller that reads one
-    # zero divisor does not pay for converting them all.
-    for part in (hits[:1], hits[1:]):
-        found = quads[part]
-        i, j, k, l = found.T
-        for (a, b, c, d), sign in zip(found.tolist(), (G[j, k] * G[i, l]).tolist()):
-            for s1 in (1, -1):
-                yield ZeroDivisorPair(a + 1, b + 1, s1, c + 1, d + 1, -s1 * sign)
+    quads, _, product = table._signed._quad_products
+    # The frame the products came from, so SizeError has been raised above.
+    unit_free = _quad_frame(table.indices.tobytes(), table.dim)[3]
+    hits = unit_free[product[unit_free] == 1]
+    if not len(hits):
+        return
+    # The first hit is converted with Python scalars, so a caller that
+    # reads one zero divisor does not pay for converting them all.
+    a, b, c, d = quads[hits[0]].tolist()
+    sign = int(G[b, c] * G[a, d])
+    yield ZeroDivisorPair(a + 1, b + 1, 1, c + 1, d + 1, -sign)
+    yield ZeroDivisorPair(a + 1, b + 1, -1, c + 1, d + 1, sign)
+    rest = quads[hits[1:]]
+    i, j, k, l = rest.T
+    for (a, b, c, d), sign in zip(rest.tolist(), (G[j, k] * G[i, l]).tolist()):
+        for s1 in (1, -1):
+            yield ZeroDivisorPair(a + 1, b + 1, s1, c + 1, d + 1, -s1 * sign)
 
 
 def radon(n: int) -> int:

@@ -96,10 +96,14 @@ def _load_matrix(source: str | None) -> coloring.SignedLatinSquare:
         return canonical_signed_square_8()
     if source.startswith("builtin:"):
         token = source.split(":", 1)[1]
+        # ASCII digits and an optional minus only: bare int() also reads
+        # "1_0", " 7", "+3" and the digits of other scripts.
         try:
-            index = int(token)
-        except ValueError:
-            raise ValidationError(f"bad builtin matrix index {token!r}") from None
+            index = int(token) if re.fullmatch("-?[0-9]+", token) else None
+        except ValueError:  # more digits than int() converts
+            index = None
+        if index is None:
+            raise ValidationError(f"bad builtin matrix index {token!r}")
         if not 0 <= index < 16:
             raise ValidationError(f"builtin index must be 0..15, got {index}")
         return _builtin_square(index)

@@ -57,7 +57,7 @@ class SignedLatinSquare:
     square came from :func:`color` or :func:`enumerate_colorings`.
     """
 
-    __slots__ = ("square", "signs", "choices")
+    __slots__ = ("square", "signs", "choices", "_quads")
 
     def __init__(self, entries):
         n, raw = _square_order(entries, "signed matrix entries")
@@ -66,6 +66,7 @@ class SignedLatinSquare:
         _check_signs(sgn)
         sgn.setflags(write=False)
         self.square, self.signs, self.choices = LatinSquare(np.abs(arr)), sgn, None
+        self._quads = None
 
     @classmethod
     def _checked_block(cls, square: LatinSquare, signs: np.ndarray, choices):
@@ -79,9 +80,19 @@ class SignedLatinSquare:
         out = []
         for sgn, chosen in zip(signs, choices):
             H = cls.__new__(cls)
-            H.square, H.signs, H.choices = square, sgn, chosen
+            H.square, H.signs, H.choices, H._quads = square, sgn, chosen, None
             out.append(H)
         return out
+
+    @property
+    def _quad_products(self):
+        """quad_sign_products of this square, gathered on first use and kept,
+        product read-only, so every check of one square shares one gather."""
+        if self._quads is None:
+            quads, open_corners, product = quad_sign_products(self.square.entries, self.signs)
+            product.setflags(write=False)
+            self._quads = quads, open_corners, product
+        return self._quads
 
     @property
     def n(self) -> int:
@@ -205,8 +216,9 @@ def enumerate_colorings(square: LatinSquare):
     Candidate index c maps to the bitstring format(c, '0{b}b') with
     '0' = '+' and '1' = '-', leftmost bit consumed first, so candidate
     order is reproducible.  The signs of all candidates (at most 2**11,
-    at w = EXHAUSTIVE_MAX_W) are doubled at once and checked once; each
-    coloring's signs are a read-only view into that one block.
+    at w = EXHAUSTIVE_MAX_W) are doubled at once and checked once, and
+    their quad sign products are gathered in one block call; each
+    coloring's signs and products are read-only views into those blocks.
     """
     if square.w > EXHAUSTIVE_MAX_W:
         raise SizeError(
@@ -218,8 +230,13 @@ def enumerate_colorings(square: LatinSquare):
     # Bit b of an index below 2**b is 0: the leading 1 of each row.
     choices = 1 - 2 * ((np.arange(2 ** b)[:, None] >> np.arange(b, -1, -1)) & 1)
     signs = _double_signs(square.w, choices)
-    yield from SignedLatinSquare._checked_block(
+    colorings = SignedLatinSquare._checked_block(
         square, signs, list(map(tuple, choices[:, 1:].tolist())))
+    quads, open_corners, products = quad_sign_products(square.entries, signs)
+    products.setflags(write=False)
+    for H, product in zip(colorings, products):
+        H._quads = quads, open_corners, product
+    yield from colorings
 
 
 def is_latin_hadamard(H: SignedLatinSquare) -> bool:
@@ -231,5 +248,7 @@ def is_latin_hadamard(H: SignedLatinSquare) -> bool:
     a square matrix with H^T H = cI, c nonzero, also has H H^T = cI, so
     the rows are orthogonal too.
     """
-    _, open_corners, product = quad_sign_products(H.square.entries, H.signs)
-    return not len(open_corners) and bool((product == -1).all())
+    _, open_corners, product = H._quad_products
+    # Each product is +/-1, so all are -1 exactly when the largest is;
+    # initial=-1 covers n = 1, which has no quads.
+    return not len(open_corners) and bool(product.max(initial=-1) == -1)

@@ -22,7 +22,7 @@ import numpy as np
 from .chisq import Eigenbasis, ProbabilityVector
 from .coloring import SignedLatinSquare, color, num_free_choices
 from .errors import ValidationError
-from .latin import _screen, construct_latin_square, quad_sign_products
+from .latin import _screen, construct_latin_square
 
 __all__ = ["OrthogonalDesign", "builtin_design_16", "verify_design",
            "design_to_eigenbasis", "DESIGN_16_CELL_VARIABLES"]
@@ -85,7 +85,7 @@ def verify_design(design: OrthogonalDesign) -> bool:
     S = design.signed.square.entries
     G = design.signed.signs
     n, m = design.order, design.num_vars + 1
-    quads, open_corners, product = quad_sign_products(S, G)
+    quads, open_corners, product = design.signed._quad_products
     plus = quads[product == 1]
     i = np.concatenate((plus[:, 0], plus[:, 0], open_corners[:, 0]))
     j = np.concatenate((plus[:, 1], plus[:, 1], open_corners[:, 1]))

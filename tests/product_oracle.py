@@ -9,6 +9,7 @@ against the other.
 
 import numpy as np
 
+from latinhadamard.algebra import ZeroDivisorPair
 from latinhadamard.latin import _screen
 
 
@@ -26,3 +27,28 @@ def multiply(table, a, b) -> np.ndarray:
         for j in np.nonzero(b)[0]:
             out[table.indices[i, j] - 1] += a[i] * b[j] * table.signs[i, j]
     return out
+
+
+def brute_force_zero_divisors(table) -> list:
+    """Every (e_i + s1 e_j)(e_k + s2 e_l) = 0 with 2 <= i < j and 2 <= k < l.
+
+    An unpruned scan over all index pairs and all four sign choices: each
+    product is the sum of its four basis products e_a e_b, each taken
+    from ``multiply``.  Listed in (i, j, k, l) order, then s1 = +1 and
+    s2 = +1 first.
+    """
+    n = table.dim
+    eye = np.eye(n, dtype=np.int64)
+    # basis[a, b] = e_{a+1} e_{b+1}
+    basis = np.array([[multiply(table, eye[a], eye[b]) for b in range(n)] for a in range(n)])
+    found = []
+    for i in range(1, n):
+        for j in range(i + 1, n):
+            for s1 in (1, -1):
+                left = basis[i] + s1 * basis[j]  # row b: (e_i + s1 e_j) e_b
+                for s2 in (1, -1):
+                    zero = ~(left[:, None] + s2 * left[None, :]).any(axis=2)
+                    for k, l in zip(*np.nonzero(np.triu(zero[1:, 1:], 1))):
+                        found.append(ZeroDivisorPair(i + 1, j + 1, s1,
+                                                     int(k) + 2, int(l) + 2, s2))
+    return sorted(found, key=lambda z: (z.i, z.j, z.k, z.l, -z.s1, -z.s2))

@@ -12,7 +12,7 @@ from latinhadamard import (SignedLatinSquare, SizeError, ValidationError, builti
 from latinhadamard.algebra import AlgebraTable, ZeroDivisorPair
 
 from cayley_dickson_oracle import doubling_table
-from product_oracle import multiply
+from product_oracle import brute_force_zero_divisors, multiply
 from reference_tables import QUATERNION_TABLE, SIGNED_SQUARE_8
 
 
@@ -27,23 +27,6 @@ def basis_product(table, i, j):
     out = multiply(table, basis_vector(table.dim, i), basis_vector(table.dim, j))
     (k,) = np.nonzero(out)[0]
     return int(out[k]), int(k) + 1
-
-
-def brute_force_zero_divisors(table):
-    """Full unpruned scan over every (e_i +/- e_j)(e_k +/- e_l)."""
-    n = table.dim
-    found = []
-    for i in range(2, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(2, n + 1):
-                for l in range(k + 1, n + 1):
-                    for s1 in (1, -1):
-                        for s2 in (1, -1):
-                            a = basis_vector(n, i) + s1 * basis_vector(n, j)
-                            b = basis_vector(n, k) + s2 * basis_vector(n, l)
-                            if not multiply(table, a, b).any():
-                                found.append(ZeroDivisorPair(i, j, s1, k, l, s2))
-    return found
 
 
 def test_trivial_table():
@@ -112,10 +95,32 @@ def test_pruned_scan_equals_brute_force():
     for source in (cayley_dickson_table(2), cayley_dickson_table(3),
                    table_from_signed_square(
                        SignedLatinSquare(SIGNED_SQUARE_8))):
-        assert set(find_zero_divisors(source)) == set(brute_force_zero_divisors(source))
+        assert list(find_zero_divisors(source)) == brute_force_zero_divisors(source)
     square = construct_latin_square(3)
     noisy = table_from_signed_square(color(square, (1, -1, 1, -1)))
-    assert set(find_zero_divisors(noisy)) == set(brute_force_zero_divisors(noisy))
+    assert list(find_zero_divisors(noisy)) == brute_force_zero_divisors(noisy)
+
+
+@pytest.mark.parametrize("index", [0, 1234, 2047])
+def test_zero_divisors_listed_in_documented_order(index):
+    # by (i, j, k), then s1 = +1 first: the brute force sorts on that key,
+    # and the enumerated square carries its row of the block products
+    H = list(enumerate_colorings(construct_latin_square(4)))[index]
+    divisors = list(find_zero_divisors(table_from_signed_square(H)))
+    assert divisors and divisors == brute_force_zero_divisors(table_from_signed_square(H))
+
+
+def test_first_zero_divisor_is_the_first_of_the_list():
+    # the first hit is converted on its own; it must be the list's head
+    tables = [table_from_signed_square(H)
+              for H in enumerate_colorings(construct_latin_square(4))]
+    tables += [cayley_dickson_table(m) for m in (3, 4, 5)]
+    for table in tables:
+        listed = list(find_zero_divisors(table))
+        first = next(find_zero_divisors(table), None)
+        assert first == (listed[0] if listed else None)
+        assert first is None or type(first.s2) is int
+    assert next(find_zero_divisors(cayley_dickson_table(3)), None) is None
 
 
 def test_table_from_quaternion_like_coloring():

@@ -41,3 +41,16 @@ def test_workload_constructs_from_seed_zero(name, tmp_path):
     workload = workloads.WORKLOADS[name](0, tmp_path)
     assert workload.name == name
     assert workload.work_unit
+
+
+def test_one_census_pass_passes_every_check(tmp_path):
+    # A wrong census result fails here, before the benchmark reports it
+    # as an incorrect output: every operation of one whole pass runs in
+    # order, and each result goes through the operation's own check.
+    workload = workloads.WORKLOADS["census"](0, tmp_path)
+    kinds = []
+    for op in next(workload.passes()):
+        op.check(op.fn())
+        kinds.append(op.kind)
+    assert kinds.count("candidate") == sum(workloads.Census.CANDIDATES.values()) == 2066
+    assert len(kinds) == 2066 + 3 + 3 + 1

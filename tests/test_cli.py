@@ -496,7 +496,13 @@ def test_builtin_index_is_the_oracle_survivor_with_that_index():
     ("builtin:16", "builtin index must be 0..15, got 16"),
     ("builtin:-1", "builtin index must be 0..15, got -1"),
     ("builtin:x", "bad builtin matrix index 'x'"),
-])
+    # int() alone reads each of these as an index
+    ("builtin:1_0", "bad builtin matrix index '1_0'"),
+    ("builtin:\u0663", "bad builtin matrix index '\u0663'"),
+    ("builtin: 7", "bad builtin matrix index ' 7'"),
+    ("builtin:+3", "bad builtin matrix index '+3'"),
+    ("builtin:" + "1" * 5000, f"bad builtin matrix index '{'1' * 5000}'"),
+], ids=lambda v: v if len(v) < 40 else f"{v[:20]}...")
 def test_builtin_index_errors(capsys, spec, message):
     for argv in (["decompose", "--p", "a", "--counts", "25,25,25,25,25,25,25,25",
                   "--matrix", spec],

@@ -9,7 +9,7 @@ from latinhadamard import (SignedLatinSquare, ValidationError,
                            coloring, construct_latin_square, enumerate_colorings,
                            is_latin_hadamard, num_free_choices)
 from latinhadamard.errors import SizeError
-from latinhadamard.latin import LatinSquare
+from latinhadamard.latin import LatinSquare, quad_sign_products
 
 from coloring_oracle import propagate_signs
 from gram_oracle import (gram_is_latin_hadamard, gram_pairs_orthogonal, pair_coefficients,
@@ -110,10 +110,41 @@ def test_enumeration_size_guard():
 
 
 def test_orthogonality_check_size_guard():
-    # n = 256 is above the quad kernel's n <= 128 guard
+    # n = 256 is above the quad kernel's n <= 128 guard; color serves
+    # such squares, so it leaves the products to the first check
     H = color(construct_latin_square(8), (1,) * num_free_choices(8))
+    assert H._quads is None
     with pytest.raises(SizeError):
         is_latin_hadamard(H)
+
+
+def test_enumerated_products_equal_single_and_lazy_products():
+    # enumerate_colorings gathers every candidate's quad products in one
+    # block call; each stored row must be the single-matrix kernel's
+    # product and the direct four-sign product, and a square built from
+    # the same entries or the same choices gathers the same products
+    # lazily, on first use, and gives the same verdict
+    for w in (2, 3, 4):
+        square = construct_latin_square(w)
+        for H in enumerate_colorings(square):
+            stored = H._quad_products
+            assert H._quad_products is stored
+            quads, open_corners, product = stored
+            assert not product.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                product[0] = product[0]
+            G = H.signs
+            i, j, k, l = quads.T
+            assert np.array_equal(product, G[i, k] * G[i, l] * G[j, k] * G[j, l])
+            assert np.array_equal(product, quad_sign_products(square.entries, G)[2])
+            verdict = is_latin_hadamard(H)
+            for twin in (SignedLatinSquare(H.signed_entries()), color(square, H.choices)):
+                assert twin._quads is None
+                assert is_latin_hadamard(twin) == verdict
+                lazy = twin._quad_products
+                assert twin._quad_products is lazy
+                assert not lazy[2].flags.writeable
+                assert lazy[2].dtype == np.int64 and np.array_equal(lazy[2], product)
 
 
 def test_survivor_sets_match_reference_lists():

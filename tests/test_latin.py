@@ -210,6 +210,21 @@ def test_quad_kernel_gives_each_sign_matrix_its_own_product():
     _assert_kernel_matches(S, G2, *second)
 
 
+@pytest.mark.parametrize("name", ["cyclic", "transposed", "3"])
+def test_quad_kernel_stack_gives_each_matrix_its_single_product(name):
+    # an (m, n, n) stack is gathered in one int8 block; row c must be the
+    # single-matrix int64 product of signs[c], open corners or not
+    S = KERNEL_SQUARES[name]()
+    stack = np.random.default_rng(7).choice((-1, 1), size=(5, 8, 8))
+    quads, open_corners, products = quad_sign_products(S, stack)
+    assert products.shape == (5, len(quads)) and products.dtype == np.int8
+    for G, row in zip(stack, products):
+        single = quad_sign_products(S, G)
+        assert single[0] is quads and single[1] is open_corners
+        assert single[2].dtype == np.int64 and np.array_equal(row, single[2])
+        _assert_kernel_matches(S, G, quads, open_corners, row)
+
+
 def test_quad_frame_is_read_only():
     quads, open_corners, product = quad_sign_products(KERNEL_SQUARES["cyclic"](),
                                                       np.ones((8, 8)))
