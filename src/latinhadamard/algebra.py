@@ -94,6 +94,13 @@ def table_from_signed_square(H: SignedLatinSquare) -> AlgebraTable:
     return AlgebraTable(H)
 
 
+def _unit_free_hits(table: AlgebraTable, product: np.ndarray) -> np.ndarray:
+    """Indices, in order, of the unit-free quads with sign product +1."""
+    # The frame the products came from, so SizeError has been raised.
+    unit_free = _quad_frame(table.indices.tobytes(), table.dim)[3]
+    return unit_free[product[unit_free] == 1]
+
+
 def find_zero_divisors(table: AlgebraTable):
     """Yield all zero divisors of the form (e_i +/- e_j)(e_k +/- e_l).
 
@@ -105,20 +112,30 @@ def find_zero_divisors(table: AlgebraTable):
     first.  For dimension <= 16 this sum-of-two form is the only shape
     a zero divisor can take; at dimension 32 the scan still only covers
     this form.
+
+    The first quad with product +1 is the one the table's signed square
+    keeps: a coloring from ``enumerate_colorings`` had it decided with
+    its whole enumeration, and any other square finds it here on first
+    use.  The quads after it are gathered only when a caller reads past
+    the first two items.
     """
     G = table.signs
-    quads, _, product = table._signed._quad_products
-    # The frame the products came from, so SizeError has been raised above.
-    unit_free = _quad_frame(table.indices.tobytes(), table.dim)[3]
-    hits = unit_free[product[unit_free] == 1]
-    if not len(hits):
+    signed = table._signed
+    quads, _, product = signed._quad_products
+    first, hits = signed._first_hit, None
+    if first is None:
+        hits = _unit_free_hits(table, product)
+        first = signed._first_hit = int(hits[0]) if len(hits) else len(quads)
+    if first == len(quads):
         return
     # The first hit is converted with Python scalars, so a caller that
     # reads one zero divisor does not pay for converting them all.
-    a, b, c, d = quads[hits[0]].tolist()
+    a, b, c, d = quads[first].tolist()
     sign = int(G[b, c] * G[a, d])
     yield ZeroDivisorPair(a + 1, b + 1, 1, c + 1, d + 1, -sign)
     yield ZeroDivisorPair(a + 1, b + 1, -1, c + 1, d + 1, sign)
+    if hits is None:
+        hits = _unit_free_hits(table, product)
     rest = quads[hits[1:]]
     i, j, k, l = rest.T
     for (a, b, c, d), sign in zip(rest.tolist(), (G[j, k] * G[i, l]).tolist()):

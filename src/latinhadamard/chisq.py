@@ -103,9 +103,10 @@ class CellCounts:
             raise ValidationError("counts must be a flat vector")
         # Checked as Python numbers, so that no entry and no total wraps
         # in int64 (numpy holds ints beyond int64 as floats or objects).
+        # A bool is not a count, although Python takes it for an int.
         values = arr.tolist()
         if arr.dtype.kind not in "iu" and not all(
-                isinstance(v, int) or isinstance(v, float) and v.is_integer()
+                type(v) is int or isinstance(v, float) and v.is_integer()
                 for v in values):
             raise ValidationError("counts must be integers")
         if min(values, default=0) < 0:

@@ -16,8 +16,6 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from . import coloring
 from .algebra import cayley_dickson_table, find_zero_divisors, table_from_signed_square
 from .chisq import (CellCounts, ProbabilityVector, _builtin_square, canonical_signed_square_8,
@@ -49,10 +47,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ValidationError(message)
-
-
-def _matrix_json(arr) -> list:
-    return [[int(v) for v in row] for row in np.asarray(arr)]
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -128,7 +122,7 @@ def _cmd_construct(args) -> str:
     _limit_w(args.w, CONSTRUCT_MAX_W)
     square = construct_latin_square(args.w)
     if fmt == "json":
-        return json.dumps({"w": square.w, "entries": _matrix_json(square.entries)}) + "\n"
+        return json.dumps({"w": square.w, "entries": square.entries.tolist()}) + "\n"
     if fmt == "csv":
         header = ",".join(f"c{j}" for j in range(1, square.n + 1))
         rows = [",".join(str(int(v)) for v in row) for row in square.entries]
@@ -151,7 +145,7 @@ def _cmd_enumerate(args) -> str:
         records.append({
             "w": square.w,
             "choices": coloring.choices_to_bitstring(H.choices),
-            "H": _matrix_json(H.signed_entries()),
+            "H": H.signed_entries().tolist(),
             "latin_hadamard": valid,
         })
     if fmt == "json":
@@ -175,7 +169,7 @@ def _cmd_algebra(args) -> str:
     if args.report == "table":
         _require_format(fmt, ("json", "pretty"))
         if fmt == "json":
-            return json.dumps({"dim": table.dim, "table": _matrix_json(signed)}) + "\n"
+            return json.dumps({"dim": table.dim, "table": signed.tolist()}) + "\n"
         width = len(str(table.dim)) + 1
         return "\n".join(" ".join(f"{'+' if v > 0 else '-'}e{abs(int(v))}".rjust(width + 2)
                                   for v in row) for row in signed) + "\n"
@@ -217,7 +211,7 @@ def _cmd_design(args) -> str:
     if fmt == "json":
         return json.dumps({"order": design.order, "num_vars": design.num_vars,
                            "type": list(design.type),
-                           "entries": _matrix_json(design.entries)}) + "\n"
+                           "entries": design.entries.tolist()}) + "\n"
     return "\n".join(" ".join(f"{'+' if v > 0 else '-'}x{abs(int(v))}".rjust(4)
                               for v in row) for row in design.entries) + "\n"
 

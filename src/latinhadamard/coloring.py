@@ -21,8 +21,8 @@ import functools
 import numpy as np
 
 from .errors import SizeError, ValidationError
-from .latin import (LatinSquare, _exponent, _screen, _square_order, construct_latin_square,
-                    quad_sign_products)
+from .latin import (LatinSquare, _exponent, _quad_frame, _screen, _square_order,
+                    construct_latin_square, quad_sign_products)
 
 __all__ = [
     "SignedLatinSquare", "num_free_choices",
@@ -55,9 +55,15 @@ class SignedLatinSquare:
     first column are positive and the diagonal below row one is negative,
     as produced by the coloring procedure.  ``choices`` is None unless the
     square came from :func:`color` or :func:`enumerate_colorings`.
+
+    Three values are kept once known: the quad products, the
+    Latin-Hadamard verdict and the index of the first unit-free quad
+    with product +1 (the number of quads if there is none).
+    :func:`enumerate_colorings` fills all three for its whole block; any
+    other square computes each on first use.
     """
 
-    __slots__ = ("square", "signs", "choices", "_quads")
+    __slots__ = ("square", "signs", "choices", "_quads", "_verdict", "_first_hit")
 
     def __init__(self, entries):
         n, raw = _square_order(entries, "signed matrix entries")
@@ -66,7 +72,7 @@ class SignedLatinSquare:
         _check_signs(sgn)
         sgn.setflags(write=False)
         self.square, self.signs, self.choices = LatinSquare(np.abs(arr)), sgn, None
-        self._quads = None
+        self._quads = self._verdict = self._first_hit = None
 
     @classmethod
     def _checked_block(cls, square: LatinSquare, signs: np.ndarray, choices):
@@ -80,7 +86,8 @@ class SignedLatinSquare:
         out = []
         for sgn, chosen in zip(signs, choices):
             H = cls.__new__(cls)
-            H.square, H.signs, H.choices, H._quads = square, sgn, chosen, None
+            H.square, H.signs, H.choices = square, sgn, chosen
+            H._quads = H._verdict = H._first_hit = None
             out.append(H)
         return out
 
@@ -219,6 +226,11 @@ def enumerate_colorings(square: LatinSquare):
     at w = EXHAUSTIVE_MAX_W) are doubled at once and checked once, and
     their quad sign products are gathered in one block call; each
     coloring's signs and products are read-only views into those blocks.
+    The Latin-Hadamard verdicts and first zero-divisor quads of all
+    candidates are decided at once, each as one reduction down the
+    (quads, candidates) block, and kept with each coloring, so
+    :func:`is_latin_hadamard` and the first item of
+    :func:`~latinhadamard.algebra.find_zero_divisors` read them back.
     """
     if square.w > EXHAUSTIVE_MAX_W:
         raise SizeError(
@@ -234,8 +246,19 @@ def enumerate_colorings(square: LatinSquare):
         square, signs, list(map(tuple, choices[:, 1:].tolist())))
     quads, open_corners, products = quad_sign_products(square.entries, signs)
     products.setflags(write=False)
-    for H, product in zip(colorings, products):
+    # products is the transpose of a C-ordered (Q, m) block: the rows of
+    # P are contiguous, and each reduction below runs along them.
+    P, q = products.T, len(quads)
+    verdicts = (P.max(axis=0, initial=-1) == -1) & (not len(open_corners))
+    # Quad indices fit int16 (q = 960 at w = 4), which keeps the where
+    # small; a candidate without a unit-free +1 quad gets q.
+    unit_free = _quad_frame(square.entries.tobytes(), square.n)[3]
+    firsts = np.where(P[unit_free] == 1, unit_free.astype(np.int16)[:, None],
+                      np.int16(q)).min(axis=0, initial=q)
+    for H, product, verdict, first in zip(colorings, products, verdicts.tolist(),
+                                          firsts.tolist()):
         H._quads = quads, open_corners, product
+        H._verdict, H._first_hit = verdict, first
     yield from colorings
 
 
@@ -246,9 +269,14 @@ def is_latin_hadamard(H: SignedLatinSquare) -> bool:
     every closed quad must have sign product -1.  Every column holds
     each symbol once, so orthogonal columns give H^T H = (sum of x_a^2) I;
     a square matrix with H^T H = cI, c nonzero, also has H H^T = cI, so
-    the rows are orthogonal too.
+    the rows are orthogonal too.  A coloring from
+    :func:`enumerate_colorings` returns the verdict its enumeration
+    decided for the whole block; any other square decides it here, on
+    first use, and keeps it.
     """
-    _, open_corners, product = H._quad_products
-    # Each product is +/-1, so all are -1 exactly when the largest is;
-    # initial=-1 covers n = 1, which has no quads.
-    return not len(open_corners) and bool(product.max(initial=-1) == -1)
+    if H._verdict is None:
+        _, open_corners, product = H._quad_products
+        # Each product is +/-1, so all are -1 exactly when the largest
+        # is; initial=-1 covers n = 1, which has no quads.
+        H._verdict = not len(open_corners) and bool(product.max(initial=-1) == -1)
+    return H._verdict

@@ -12,7 +12,7 @@ from latinhadamard import (SignedLatinSquare, SizeError, ValidationError, builti
 from latinhadamard.algebra import AlgebraTable, ZeroDivisorPair
 
 from cayley_dickson_oracle import doubling_table
-from product_oracle import brute_force_zero_divisors, multiply
+from product_oracle import basis_products, brute_force_zero_divisors, multiply
 from reference_tables import QUATERNION_TABLE, SIGNED_SQUARE_8
 
 
@@ -87,6 +87,20 @@ def test_sedenions_have_zero_divisors():
         a = basis_vector(16, z.i) + z.s1 * basis_vector(16, z.j)
         b = basis_vector(16, z.k) + z.s2 * basis_vector(16, z.l)
         assert not multiply(table, a, b).any()
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_brute_force_basis_products_equal_multiply(m):
+    # the brute-force scan reads every e_a e_b off the table at once; the
+    # term-by-term product must give the same vectors
+    square = construct_latin_square(m)
+    for table in (cayley_dickson_table(m),
+                  table_from_signed_square(color(square, (-1,) * num_free_choices(m)))):
+        basis = basis_products(table)
+        for a in range(1, table.dim + 1):
+            for b in range(1, table.dim + 1):
+                expected = multiply(table, basis_vector(table.dim, a), basis_vector(table.dim, b))
+                assert np.array_equal(basis[:, a - 1, b - 1], expected)
 
 
 def test_pruned_scan_equals_brute_force():

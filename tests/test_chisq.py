@@ -77,6 +77,14 @@ class TestInputs:
         counts = CellCounts([3, 7])
         assert counts.n == 10 and counts.k == 2
 
+    @pytest.mark.parametrize("m", [[True, False, True], np.array([True, True]),
+                                   np.array([True, 2], dtype=object)],
+                             ids=["list", "array", "object-array"])
+    def test_boolean_counts_rejected(self, m):
+        # ProbabilityVector's screen takes numbers only; counts are no looser
+        with pytest.raises(ValidationError, match="^counts must be integers$"):
+            CellCounts(m)
+
     @pytest.mark.parametrize("m", [[10 ** 23, 1], [2 ** 63, 1], [2.0 ** 63, 1.0],
                                    [2 ** 63 - 1, 2 ** 63 - 1], [2 ** 62, 2 ** 62]])
     def test_counts_beyond_int64_rejected(self, m):

@@ -440,6 +440,10 @@ PINNED_OUTPUTS = {
                       "3e964ebf6b0ae62cd2afe8886b37b89bd37d7354e6f26ca944ec431ff1fe0816"),
     "enumerate-w3": ("enumerate --w 3 --format json",
                      "a16090c692847cd2fac51c616d8efdd6ddcad1f0acd5adf52e211102cab679cc"),
+    "enumerate-w4-json": ("enumerate --w 4 --format json",
+                          "73528b6c65d02f9a255e5ac4f22d797e6808faa267464a2a0c8b9bb3e51e0888"),
+    "enumerate-w4-csv": ("enumerate --w 4 --format csv",
+                         "781d437aeae1cd5bb0532498298baf4b91ba3310475529d764e252af25e8882c"),
     # Recorded while the order-16 design was still a transcribed table.
     "design-show-json": ("design --show --format json",
                          "ea36e76240ccbf7ca5657a7dbf67bf4eac80561f56af1abf64bf67f4c5c8d3c4"),

@@ -7,13 +7,15 @@ import pytest
 from latinhadamard import (SignedLatinSquare, ValidationError,
                            choices_from_bitstring, choices_to_bitstring, color,
                            coloring, construct_latin_square, enumerate_colorings,
-                           is_latin_hadamard, num_free_choices)
+                           find_zero_divisors, is_latin_hadamard, num_free_choices,
+                           table_from_signed_square)
 from latinhadamard.errors import SizeError
 from latinhadamard.latin import LatinSquare, quad_sign_products
 
 from coloring_oracle import propagate_signs
 from gram_oracle import (gram_is_latin_hadamard, gram_pairs_orthogonal, pair_coefficients,
                          symbolic_gram)
+from product_oracle import scan_zero_divisors
 from reference_tables import (SIGNED_SQUARE_8, VALID_SIGNED_SQUARES_4,
                               VALID_SIGNED_SQUARES_8)
 
@@ -113,7 +115,7 @@ def test_orthogonality_check_size_guard():
     # n = 256 is above the quad kernel's n <= 128 guard; color serves
     # such squares, so it leaves the products to the first check
     H = color(construct_latin_square(8), (1,) * num_free_choices(8))
-    assert H._quads is None
+    assert H._quads is None and H._verdict is None
     with pytest.raises(SizeError):
         is_latin_hadamard(H)
 
@@ -140,11 +142,34 @@ def test_enumerated_products_equal_single_and_lazy_products():
             verdict = is_latin_hadamard(H)
             for twin in (SignedLatinSquare(H.signed_entries()), color(square, H.choices)):
                 assert twin._quads is None
+                assert twin._verdict is None and twin._first_hit is None
                 assert is_latin_hadamard(twin) == verdict
+                assert twin._first_hit is None  # the verdict alone does not scan
                 lazy = twin._quad_products
                 assert twin._quad_products is lazy
                 assert not lazy[2].flags.writeable
                 assert lazy[2].dtype == np.int64 and np.array_equal(lazy[2], product)
+
+
+def test_enumerated_verdicts_and_first_divisors_equal_lazy_and_oracles():
+    # enumerate_colorings decides every candidate's verdict and first
+    # zero-divisor quad for its whole block at once; a twin built from
+    # the same entries decides each on first use, and the Gram and
+    # brute-force oracles decide them without the quad products
+    for w in (2, 3, 4):
+        for H in enumerate_colorings(construct_latin_square(w)):
+            assert type(H._verdict) is bool and type(H._first_hit) is int
+            twin = SignedLatinSquare(H.signed_entries())
+            verdict = is_latin_hadamard(H)
+            assert verdict is H._verdict
+            assert verdict is is_latin_hadamard(twin)
+            assert verdict == gram_is_latin_hadamard(H)
+            first = next(find_zero_divisors(table_from_signed_square(H)), None)
+            assert first == next(find_zero_divisors(table_from_signed_square(twin)), None)
+            assert first == next(scan_zero_divisors(table_from_signed_square(H)), None)
+            assert twin._first_hit == H._first_hit
+            assert (first is None) == verdict
+            assert first is None or all(type(v) is int for v in first)
 
 
 def test_survivor_sets_match_reference_lists():
