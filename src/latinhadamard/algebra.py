@@ -12,14 +12,13 @@ table.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .coloring import SignedLatinSquare, color, num_free_choices
-from .errors import SizeError, ValidationError
-from .latin import _quad_frame, construct_latin_square
+from .errors import ValidationError
+from .latin import _integer, _quad_frame, construct_latin_square
 
 __all__ = ["AlgebraTable", "ZeroDivisorPair", "cayley_dickson_table",
            "table_from_signed_square", "find_zero_divisors", "radon"]
@@ -81,8 +80,7 @@ def cayley_dickson_table(m: int) -> AlgebraTable:
     with conjugation negating every non-unit coordinate.  This sign
     convention reproduces the usual quaternion relations ij = k, ji = -k.
     """
-    if m > 5:
-        raise SizeError("tables above dimension 32 are not supported")
+    m = _integer(m, "doubling exponent", 0, 5)  # dimension 32 at most
     # The all-plus sign doubling of the structured square is this rule:
     # the quadrant-by-quadrant oracle in the tests gives the same table.
     square = construct_latin_square(m)
@@ -145,9 +143,7 @@ def find_zero_divisors(table: AlgebraTable):
 
 def radon(n: int) -> int:
     """Radon's function: for n = 2**(4c+d) * odd, 0 <= d < 4, returns 8c + 2**d."""
-    if not n >= 1 or n == math.inf or int(n) != n:
-        raise ValidationError(f"argument must be a positive integer, got {n!r}")
-    n = int(n)
+    n = _integer(n, "radon argument", 1)
     a = 0
     while n % 2 == 0:
         n //= 2

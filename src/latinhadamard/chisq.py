@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coloring import SignedLatinSquare, choices_from_bitstring, color, is_latin_hadamard
-from .errors import InternalConsistencyError, SizeError, ValidationError
-from .latin import SQUARE_MAX_W, _exponent, _screen, construct_latin_square
+from .errors import InternalConsistencyError, ValidationError
+from .latin import SQUARE_MAX_W, _integer, _screen, construct_latin_square
 
 __all__ = [
     "ProbabilityVector", "CellCounts", "Eigenbasis", "Decomposition",
@@ -73,11 +72,8 @@ class ProbabilityVector:
     @classmethod
     def equiprobable(cls, k: int) -> "ProbabilityVector":
         """k equal probabilities, k an integer in 2..2**SQUARE_MAX_W (the largest basis)."""
-        if isinstance(k, numbers.Real) and k > 2 ** SQUARE_MAX_W:
-            raise SizeError(f"cell count is limited to 2**{SQUARE_MAX_W}, got {k!r}")
-        if not (isinstance(k, numbers.Real) and k >= 2 and int(k) == k):
-            raise ValidationError(f"cell count must be an integer of at least 2, got {k!r}")
-        return cls(np.full(int(k), 1.0 / k))
+        k = _integer(k, "cell count", 2, 2 ** SQUARE_MAX_W)
+        return cls(np.full(k, 1.0 / k))
 
     @property
     def k(self) -> int:
@@ -294,7 +290,7 @@ def eigen_interlacing_check(p: ProbabilityVector) -> bool:
 def sylvester_hadamard(w: int) -> np.ndarray:
     """Standard-form +/-1 matrix of order 2**w via [[H, H], [H, -H]], w <= SQUARE_MAX_W."""
     H = np.array([[1]], dtype=np.int64)
-    for _ in range(_exponent(w)):
+    for _ in range(_integer(w, "square exponent", 0, SQUARE_MAX_W)):
         H = np.block([[H, H], [H, -H]])
     H.setflags(write=False)
     return H

@@ -21,8 +21,8 @@ from .algebra import cayley_dickson_table, find_zero_divisors, table_from_signed
 from .chisq import (CellCounts, ProbabilityVector, _builtin_square, canonical_signed_square_8,
                     decompose, eigenbasis_from_latin_hadamard)
 from .design import builtin_design_16, design_to_eigenbasis, verify_design
-from .errors import InternalConsistencyError, SizeError, ValidationError
-from .latin import construct_latin_square
+from .errors import InternalConsistencyError, ValidationError
+from .latin import _integer, construct_latin_square
 from .power import (PRESET_WEIGHTS, DistributionSpec, PowerSimConfig,
                     preset_probability, simulate_power)
 
@@ -59,11 +59,6 @@ def _emit(text: str, out: str | None) -> None:
     except (OSError, ValueError) as exc:
         # ValueError: a NUL byte or an unencodable character in the path.
         raise ValidationError(f"cannot write output file {out!r}: {exc}") from None
-
-
-def _limit_w(w: int, limit: int) -> None:
-    if w > limit:
-        raise SizeError(f"--w is limited to {limit} here, got {w}")
 
 
 def _require_format(fmt: str, allowed: tuple[str, ...]) -> None:
@@ -119,8 +114,7 @@ def _load_matrix(source: str | None) -> coloring.SignedLatinSquare:
 def _cmd_construct(args) -> str:
     fmt = args.format or "pretty"
     _require_format(fmt, ("json", "csv", "pretty"))
-    _limit_w(args.w, CONSTRUCT_MAX_W)
-    square = construct_latin_square(args.w)
+    square = construct_latin_square(_integer(args.w, "--w", 0, CONSTRUCT_MAX_W))
     if fmt == "json":
         return json.dumps({"w": square.w, "entries": square.entries.tolist()}) + "\n"
     if fmt == "csv":
@@ -135,8 +129,7 @@ def _cmd_construct(args) -> str:
 def _cmd_enumerate(args) -> str:
     fmt = args.format or "json"
     _require_format(fmt, ("json", "csv"))
-    _limit_w(args.w, coloring.EXHAUSTIVE_MAX_W)
-    square = construct_latin_square(args.w)
+    square = construct_latin_square(_integer(args.w, "--w", 0, coloring.EXHAUSTIVE_MAX_W))
     records = []
     for H in coloring.enumerate_colorings(square):
         valid = coloring.is_latin_hadamard(H)

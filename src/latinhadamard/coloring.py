@@ -21,7 +21,7 @@ import functools
 import numpy as np
 
 from .errors import SizeError, ValidationError
-from .latin import (LatinSquare, _exponent, _quad_frame, _screen, _square_order,
+from .latin import (SQUARE_MAX_W, LatinSquare, _integer, _quad_frame, _screen, _square_order,
                     construct_latin_square, quad_sign_products)
 
 __all__ = [
@@ -130,7 +130,7 @@ class SignedLatinSquare:
 
 def num_free_choices(w: int) -> int:
     """Number of free sign choices when coloring the 2**w square, w <= SQUARE_MAX_W."""
-    w = _exponent(w)
+    w = _integer(w, "square exponent", 0, SQUARE_MAX_W)
     return 2 ** w - (w + 1)
 
 

@@ -28,13 +28,19 @@ SQUARE_MAX_W = 10
 QUAD_MAX_N = 128
 
 
-def _exponent(w) -> int:
-    """w as an int, once it is an integer in 0..SQUARE_MAX_W (SizeError above)."""
-    if isinstance(w, numbers.Real) and w > SQUARE_MAX_W:
-        raise SizeError(f"square exponent is limited to {SQUARE_MAX_W}, got {w!r}")
-    if not (isinstance(w, numbers.Real) and w >= 0 and int(w) == w):
-        raise ValidationError(f"square exponent must be a non-negative integer, got {w!r}")
-    return int(w)
+def _integer(value, name: str, lo: int, limit: int | None = None) -> int:
+    """The one screen for integer arguments, the scalar sibling of _screen:
+    value as a Python int, once it is an integer (Python or numpy, not a
+    bool) in lo..limit.  A number above limit raises SizeError, checked
+    first, so inf and 6.5 there are too large rather than not integers;
+    anything else out of range or not an integer raises ValidationError.
+    """
+    if limit is not None and isinstance(value, numbers.Real) and value > limit:
+        raise SizeError(f"{name} is limited to {limit}, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
+        bound = "a non-negative integer" if lo == 0 else f"an integer of at least {lo}"
+        raise ValidationError(f"{name} must be {bound}, got {value!r}")
+    return int(value)
 
 
 def _screen(values, name: str, lo: int | None = None, hi: int | None = None,
@@ -131,7 +137,9 @@ class CornerQuad(NamedTuple):
     b: int
 
 
-@functools.lru_cache(maxsize=8)
+# Typed: untyped, the key of np.int64(1) or w=1 also matches True, which
+# would then get the cached square without reaching the screen.
+@functools.lru_cache(maxsize=8, typed=True)
 def construct_latin_square(w: int) -> LatinSquare:
     """Build the canonical block-recursive Latin square of dimension 2**w.
 
@@ -140,7 +148,7 @@ def construct_latin_square(w: int) -> LatinSquare:
     the off-diagonal blocks.  Exponents above SQUARE_MAX_W raise
     SizeError before anything is allocated.
     """
-    w = _exponent(w)
+    w = _integer(w, "square exponent", 0, SQUARE_MAX_W)
     block = np.array([[1]], dtype=np.int64)
     for level in range(1, w + 1):
         half = 2 ** (level - 1)

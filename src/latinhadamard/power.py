@@ -24,7 +24,6 @@ sends back only its rejection counts through a pipe.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import statistics
 import threading
@@ -33,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chisq import _OVERFLOW_MESSAGE, Eigenbasis, ProbabilityVector, _pearson_components
-from .errors import InternalConsistencyError, SizeError, ValidationError
+from .errors import InternalConsistencyError, ValidationError
+from .latin import _integer
 
 __all__ = [
     "DistributionSpec", "BinningScheme", "PowerSimConfig", "PowerSimResult",
@@ -154,8 +154,7 @@ def normal_critical(alpha: float) -> float:
 def chi_square_critical(df: int, alpha: float) -> float:
     """Upper chi-square critical value; embedded constants at alpha 0.05."""
     q = _level(alpha, 1.0 - alpha)
-    if not isinstance(df, numbers.Integral) or df < 1:
-        raise ValidationError(f"degrees of freedom must be a positive integer, got {df!r}")
+    df = _integer(df, "degrees of freedom", 1)
     if alpha == 0.05 and df in CHI_SQUARE_CRITICAL_95:
         return CHI_SQUARE_CRITICAL_95[df]
     from scipy import stats
@@ -224,17 +223,10 @@ class PowerSimConfig:
     def __post_init__(self):
         if not isinstance(self.basis, Eigenbasis):
             raise ValidationError(f"basis must be an Eigenbasis, got {type(self.basis).__name__}")
-        if not all(isinstance(v, numbers.Integral) for v in (self.n, self.reps, self.master_seed)):
-            raise ValidationError("n, reps and master_seed must be integers")
-        if self.reps < 1:
-            raise ValidationError("need at least one replication")
+        for name, lo, limit in (("n", 1, BLOCK_DRAWS), ("reps", 1, MAX_REPS),
+                                ("master_seed", 0, 2 ** 64 - 1)):  # a Philox key word
+            object.__setattr__(self, name, _integer(getattr(self, name), name, lo, limit))
         _level(self.alpha, 1.0 - self.alpha / 2.0)  # both critical values are finite
-        if self.n < 1:
-            raise ValidationError("sample size must be positive")
-        if self.n > BLOCK_DRAWS:
-            raise SizeError(f"sample size is limited to {BLOCK_DRAWS} draws")
-        if self.reps > MAX_REPS:
-            raise SizeError(f"replications are limited to {MAX_REPS}")
         if not math.isfinite(self.n / min(self.basis.p.p.tolist())):  # n / min p bounds X2
             raise ValidationError(_OVERFLOW_MESSAGE)
 
@@ -397,8 +389,7 @@ def simulate_power(cfg: PowerSimConfig, threads: int = 1) -> PowerSimResult:
     depend on the worker count.  ``threads`` below 1 raises
     ValidationError; a failed worker raises InternalConsistencyError.
     """
-    if not isinstance(threads, numbers.Integral) or threads < 1:
-        raise ValidationError(f"threads must be an integer of at least 1, got {threads!r}")
+    threads = _integer(threads, "threads", 1)
     scheme = bin_edges(cfg.null, cfg.resolve_basis().p)
     k = scheme.k
     # Before any fork: away from alpha = 0.05 these import scipy, once.

@@ -55,11 +55,12 @@ class TestInputs:
         p = ProbabilityVector.proportional_to([1, 2, 3, 4])
         assert np.allclose(p.p, [0.1, 0.2, 0.3, 0.4])
         assert np.allclose(ProbabilityVector.equiprobable(8).p, 1 / 8)
-        for k in (2, np.int64(3), 4.0, 2 ** 10):
+        for k in (2, np.int64(3), 2 ** 10):
             assert ProbabilityVector.equiprobable(k).k == k
 
     @pytest.mark.parametrize("k,error", [(0, ValidationError), (1, ValidationError),
                                          (-1, ValidationError), (2.5, ValidationError),
+                                         (4.0, ValidationError),
                                          ("4", ValidationError), (None, ValidationError),
                                          (math.nan, ValidationError),
                                          (2 ** 10 + 1, SizeError), (10 ** 12, SizeError),
@@ -68,6 +69,14 @@ class TestInputs:
         # SizeError comes before np.full: 10**12 cells would be 7.28 TiB
         with pytest.raises(error, match="^cell count "):
             ProbabilityVector.equiprobable(k)
+
+    def test_two_dimensional_counts_rejected(self):
+        with pytest.raises(ValidationError, match="^counts must be a flat vector$"):
+            CellCounts([[1, 2], [3, 4]])
+
+    def test_weights_with_a_negative_sum_rejected(self):
+        with pytest.raises(ValidationError, match="^weights must have a positive sum$"):
+            ProbabilityVector.proportional_to([1.0, -2.0])
 
     def test_counts_validation(self):
         with pytest.raises(ValidationError):
@@ -250,6 +259,11 @@ class TestEigenbasis:
         H = color(square, (1,) * 11)
         with pytest.raises(ValidationError):
             eigenbasis_from_latin_hadamard(H, ProbabilityVector.equiprobable(16))
+
+    def test_rejects_a_square_of_another_order(self):
+        with pytest.raises(ValidationError, match="^matrix order 8 does not match 4 cells$"):
+            eigenbasis_from_latin_hadamard(canonical_signed_square_8(),
+                                           ProbabilityVector.equiprobable(4))
 
     def test_rejects_non_orthonormal_matrix(self):
         p = ProbabilityVector.equiprobable(4)

@@ -298,6 +298,19 @@ def test_mutually_exclusive_flags_diagnosed(capsys):
     assert "--pvars" in err
 
 
+@pytest.mark.parametrize("seed,env", [("18446744073709551616", None), ("-1", None),
+                                      ("0", "18446744073709551616")],
+                         ids=["seed-2**64", "seed-minus-one", "env-2**64"])
+def test_seed_outside_one_philox_key_word_exits_1(capsys, monkeypatch, seed, env):
+    # a wrapped seed would print another seed's output
+    if env is not None:
+        monkeypatch.setenv("LH_SEED", env)
+    code, out, err = invoke(capsys, "power", "--alt", "t:2", "--preset", "a", "--reps", "20",
+                            "--seed", seed, "--format", "csv")
+    assert (code, out) == (1, "")
+    assert err.startswith("latinhadamard: error: master_seed ") and err.count("\n") == 1
+
+
 def test_env_seed_override(capsys, monkeypatch):
     argv = ["power", "--alt", "t:2", "--preset", "a", "--reps", "200",
             "--seed", "1", "--format", "json"]

@@ -106,6 +106,14 @@ def test_color_rejects_other_latin_squares():
         color(cyclic, (1,))
 
 
+def test_enumeration_rejects_other_latin_squares():
+    cyclic = LatinSquare([[1, 2, 3, 4], [2, 3, 4, 1],
+                          [3, 4, 1, 2], [4, 1, 2, 3]])
+    with pytest.raises(ValidationError,
+                       match="^colorings are defined on the structured square only$"):
+        next(enumerate_colorings(cyclic))
+
+
 def test_enumeration_size_guard():
     with pytest.raises(SizeError):
         next(enumerate_colorings(construct_latin_square(5)))

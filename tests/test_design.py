@@ -236,7 +236,9 @@ def test_design_validation_rejects_bad_variable_maps():
     with pytest.raises(ValidationError):
         OrthogonalDesign(H, (1,))  # one variable for two symbols
     with pytest.raises(ValidationError):
-        OrthogonalDesign(H, (1, 3))  # gap in variable indices
+        OrthogonalDesign(H, (1, 3))  # 3 is above the order, so the screen rejects it
+    with pytest.raises(ValidationError, match="^variable indices must be 1..l without gaps$"):
+        OrthogonalDesign(color(construct_latin_square(2), (1,)), (1, 1, 3, 3))
     with pytest.raises(ValidationError):
         OrthogonalDesign(H, (0, 1))  # variables are numbered from 1
     # not truncated or parsed: fractions, strings and ragged maps

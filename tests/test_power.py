@@ -56,6 +56,10 @@ class TestDistributionSpec:
         with pytest.raises(ValidationError, match="parameters must be numbers"):
             DistributionSpec(family, params)
 
+    def test_wrong_parameter_count_rejected(self):
+        with pytest.raises(ValidationError, match=r"^normal takes 2 parameter\(s\), got 1$"):
+            DistributionSpec("normal", (0,))
+
     def test_cauchy_equals_t1_quantiles(self):
         c = DistributionSpec("cauchy")
         t1 = DistributionSpec("t", (1,))
@@ -147,6 +151,14 @@ class TestBinning:
             idx = np.searchsorted(scheme.edges, block[index], side="right")
             assert np.array_equal(counts[index], np.bincount(idx, minlength=8))
         assert np.array_equal(scheme.bin_counts(block[1, 2]), counts[1, 2])
+
+    @pytest.mark.parametrize("p, message", [
+        ([0.5, 0.5, 1e-300], "cumulative probability reaches 1 before the last cell"),
+        ([0.5, 1e-17, 0.5 - 1e-17], "null quantiles did not produce increasing edges")],
+        ids=["cumulative-reaches-one", "equal-edges"])
+    def test_degenerate_cells_rejected(self, p, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            bin_edges(DistributionSpec("normal", (0, 1)), ProbabilityVector(p))
 
     def test_presets(self):
         assert np.allclose(preset_probability("a").p, 1 / 8)
@@ -526,10 +538,24 @@ class TestSimulation:
     @pytest.mark.parametrize("field,value", [("n", math.nan), ("n", 200.0), ("reps", 10.0),
                                              ("master_seed", 1.5)])
     def test_config_integer_fields(self, field, value):
-        with pytest.raises(ValidationError, match="must be integers"):
+        with pytest.raises(ValidationError, match=f"^{field} must be an? "):
             PowerSimConfig(null=DistributionSpec("normal", (0, 1)),
                            alternative=DistributionSpec("normal", (0, 1)),
                            basis=_basis(), **{field: value})
+
+    @pytest.mark.parametrize("seed,error", [(2 ** 64, SizeError), (-1, ValidationError)])
+    def test_seed_outside_one_philox_key_word_rejected(self, seed, error):
+        # A seed is one 64-bit Philox key word; wrapping would alias 2**64 to 0.
+        with pytest.raises(error, match="^master_seed ") as caught:
+            self.config(seed=seed)
+        assert (caught.type is SizeError) == (error is SizeError)
+
+    def test_numpy_seed_is_stored_as_an_int_and_runs_the_same_streams(self):
+        top = 2 ** 64 - 1
+        from_numpy = self.config(seed=np.uint64(top), reps=50)
+        assert type(from_numpy.master_seed) is int and from_numpy.master_seed == top
+        assert simulate_power(from_numpy).rows() == simulate_power(
+            self.config(seed=top, reps=50)).rows()
 
     def test_p_whose_x2_can_overflow_rejected(self):
         # n / min p bounds the X2 of n counts: the smallest p that keeps

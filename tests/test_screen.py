@@ -1,8 +1,11 @@
-"""Every array a caller hands the library goes through one screen.
+"""Every array a caller hands the library goes through one screen, and
+every integer argument through its scalar sibling.
 
 Each owner below receives a small valid input with one entry replaced
 by something that is not an admissible number, or a ragged version of
 it.  Each must raise ValidationError and emit no warning on the way.
+Each integer argument receives values that are not integers, or are
+out of its bounds: ValidationError, or SizeError above its limit.
 """
 
 import copy
@@ -15,12 +18,15 @@ import warnings
 import numpy as np
 import pytest
 
-from latinhadamard import (Eigenbasis, OrthogonalDesign, ProbabilityVector,
-                           SignedLatinSquare, ValidationError, builtin_design_16,
-                           cayley_dickson_table, color, construct_latin_square,
-                           design_to_eigenbasis, eigenbasis_from_sign_matrix)
-from latinhadamard import cli
-from latinhadamard.latin import LatinSquare
+from latinhadamard import (DistributionSpec, Eigenbasis, OrthogonalDesign, PowerSimConfig,
+                           ProbabilityVector, SignedLatinSquare, SizeError, ValidationError,
+                           builtin_design_16, canonical_signed_square_8, cayley_dickson_table,
+                           chi_square_critical, color, construct_latin_square,
+                           design_to_eigenbasis, eigenbasis_from_latin_hadamard,
+                           eigenbasis_from_sign_matrix, num_free_choices, radon,
+                           simulate_power, sylvester_hadamard)
+from latinhadamard import cli, power
+from latinhadamard.latin import SQUARE_MAX_W, LatinSquare, _integer
 
 from product_oracle import multiply
 
@@ -103,3 +109,75 @@ def test_screen_rejects_without_warnings(call, value):
         warnings.simplefilter("error")
         with pytest.raises(ValidationError):
             call(value)
+
+
+def _config(**fields):
+    return PowerSimConfig(null=DistributionSpec("normal", (0, 1)),
+                          alternative=DistributionSpec("normal", (0, 1)),
+                          basis=eigenbasis_from_latin_hadamard(
+                              canonical_signed_square_8(), ProbabilityVector.equiprobable(8)),
+                          **{"n": 20, "reps": 10, **fields})
+
+
+# (argument, call, lo, limit): every integer argument of the library and
+# its bounds, the scalar sibling of OWNERS.  None is no limit.
+INTEGERS = [
+    ("construct_latin_square", construct_latin_square, 0, SQUARE_MAX_W),
+    ("num_free_choices", num_free_choices, 0, SQUARE_MAX_W),
+    ("sylvester_hadamard", sylvester_hadamard, 0, SQUARE_MAX_W),
+    ("equiprobable", ProbabilityVector.equiprobable, 2, 2 ** SQUARE_MAX_W),
+    ("radon", radon, 1, None),
+    ("cayley_dickson_table", cayley_dickson_table, 0, 5),
+    ("chi_square_critical", lambda df: chi_square_critical(df, 0.05), 1, None),
+    ("PowerSimConfig-n", lambda n: _config(n=n), 1, power.BLOCK_DRAWS),
+    ("PowerSimConfig-reps", lambda reps: _config(reps=reps), 1, power.MAX_REPS),
+    ("PowerSimConfig-master_seed", lambda seed: _config(master_seed=seed), 0, 2 ** 64 - 1),
+    ("simulate_power-threads", lambda threads: simulate_power(_config(), threads), 1, None),
+]
+
+
+def _integer_cases():
+    for argument, call, lo, limit in INTEGERS:
+        bad = {"bool": True, "float": 3.0, "string": "3", "none": None, "nan": math.nan,
+               "below": lo - 1}
+        for label, value in bad.items():
+            yield pytest.param(call, value, ValidationError, id=f"{argument}-{label}")
+        if limit is not None:
+            yield pytest.param(call, limit + 1, SizeError, id=f"{argument}-above")
+
+
+@pytest.mark.parametrize("call, value, error", _integer_cases())
+def test_integer_screen_rejects_without_warnings(call, value, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as caught:
+            call(value)
+    assert (caught.type is SizeError) == (error is SizeError)
+
+
+@pytest.mark.parametrize("call, lo", [pytest.param(call, lo, id=argument)
+                                      for argument, call, lo, _ in INTEGERS])
+def test_integer_screen_accepts_numpy_integers(call, lo):
+    call(np.int64(lo))
+
+
+def test_integer_screen_returns_a_python_int():
+    value = _integer(np.int64(3), "value", 0)
+    assert type(value) is int and value == 3
+    cfg = _config(n=np.int64(20), reps=np.uint64(10), master_seed=np.int32(7))
+    assert [type(v) for v in (cfg.n, cfg.reps, cfg.master_seed)] == [int, int, int]
+
+
+@pytest.mark.parametrize("cached, rejected", [
+    (lambda: construct_latin_square(1), lambda: construct_latin_square(True)),
+    (lambda: construct_latin_square(np.int64(1)), lambda: construct_latin_square(True)),
+    (lambda: construct_latin_square(np.int64(3)), lambda: construct_latin_square(3.0)),
+    (lambda: construct_latin_square(w=1), lambda: construct_latin_square(w=True)),
+], ids=["int-bool", "int64-bool", "int64-float", "keyword-bool"])
+def test_cached_square_is_not_returned_for_an_equal_non_integer(cached, rejected):
+    # True == 1 == np.int64(1) with equal hashes: an untyped cache keys
+    # (np.int64(1),) and (True,), or w=1 and w=True, alike, and would
+    # return the cached square without screening the argument
+    cached()
+    with pytest.raises(ValidationError, match="^square exponent must be a non-negative integer"):
+        rejected()
