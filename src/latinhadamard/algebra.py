@@ -18,7 +18,7 @@ import numpy as np
 
 from .coloring import SignedLatinSquare, color, num_free_choices
 from .errors import ValidationError
-from .latin import _integer, _quad_frame, construct_latin_square
+from .latin import _integer, construct_latin_square
 
 __all__ = ["AlgebraTable", "ZeroDivisorPair", "cayley_dickson_table",
            "table_from_signed_square", "find_zero_divisors", "radon"]
@@ -30,7 +30,7 @@ class AlgebraTable:
     squares to -e_1.  Indices and signs are those of the signed square,
     which has already checked the Latin property and the signs; the unit
     structure of its square decides the rest.  The table keeps the signed
-    square, so a zero-divisor scan reads the quad products it holds.
+    square, so a zero-divisor scan reads the decision it holds.
     """
 
     __slots__ = ("dim", "signs", "indices", "_signed")
@@ -92,13 +92,6 @@ def table_from_signed_square(H: SignedLatinSquare) -> AlgebraTable:
     return AlgebraTable(H)
 
 
-def _unit_free_hits(table: AlgebraTable, product: np.ndarray) -> np.ndarray:
-    """Indices, in order, of the unit-free quads with sign product +1."""
-    # The frame the products came from, so SizeError has been raised.
-    unit_free = _quad_frame(table.indices.tobytes(), table.dim)[3]
-    return unit_free[product[unit_free] == 1]
-
-
 def find_zero_divisors(table: AlgebraTable):
     """Yield all zero divisors of the form (e_i +/- e_j)(e_k +/- e_l).
 
@@ -112,18 +105,12 @@ def find_zero_divisors(table: AlgebraTable):
     this form.
 
     The first quad with product +1 is the one the table's signed square
-    keeps: a coloring from ``enumerate_colorings`` had it decided with
-    its whole enumeration, and any other square finds it here on first
-    use.  The quads after it are gathered only when a caller reads past
-    the first two items.
+    keeps, decided with its verdict (see ``is_latin_hadamard``).  The
+    quads after it are gathered only when a caller reads past the first
+    two items.
     """
     G = table.signs
-    signed = table._signed
-    quads, _, product = signed._quad_products
-    first, hits = signed._first_hit, None
-    if first is None:
-        hits = _unit_free_hits(table, product)
-        first = signed._first_hit = int(hits[0]) if len(hits) else len(quads)
+    quads, _, unit_free, product, _, first = table._signed._decision
     if first == len(quads):
         return
     # The first hit is converted with Python scalars, so a caller that
@@ -132,9 +119,7 @@ def find_zero_divisors(table: AlgebraTable):
     sign = int(G[b, c] * G[a, d])
     yield ZeroDivisorPair(a + 1, b + 1, 1, c + 1, d + 1, -sign)
     yield ZeroDivisorPair(a + 1, b + 1, -1, c + 1, d + 1, sign)
-    if hits is None:
-        hits = _unit_free_hits(table, product)
-    rest = quads[hits[1:]]
+    rest = quads[unit_free[product[unit_free] == 1][1:]]
     i, j, k, l = rest.T
     for (a, b, c, d), sign in zip(rest.tolist(), (G[j, k] * G[i, l]).tolist()):
         for s1 in (1, -1):

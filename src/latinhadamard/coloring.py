@@ -56,14 +56,13 @@ class SignedLatinSquare:
     as produced by the coloring procedure.  ``choices`` is None unless the
     square came from :func:`color` or :func:`enumerate_colorings`.
 
-    Three values are kept once known: the quad products, the
-    Latin-Hadamard verdict and the index of the first unit-free quad
-    with product +1 (the number of quads if there is none).
-    :func:`enumerate_colorings` fills all three for its whole block; any
-    other square computes each on first use.
+    Its checks are decided once, by :func:`_decide`, and kept: the quad
+    products, the Latin-Hadamard verdict and the index of the first
+    unit-free quad with product +1.  :func:`enumerate_colorings` decides
+    them for its whole block; any other square on first use.
     """
 
-    __slots__ = ("square", "signs", "choices", "_quads", "_verdict", "_first_hit")
+    __slots__ = ("square", "signs", "choices", "_checks")
 
     def __init__(self, entries):
         n, raw = _square_order(entries, "signed matrix entries")
@@ -72,7 +71,7 @@ class SignedLatinSquare:
         _check_signs(sgn)
         sgn.setflags(write=False)
         self.square, self.signs, self.choices = LatinSquare(np.abs(arr)), sgn, None
-        self._quads = self._verdict = self._first_hit = None
+        self._checks = None
 
     @classmethod
     def _checked_block(cls, square: LatinSquare, signs: np.ndarray, choices):
@@ -86,20 +85,17 @@ class SignedLatinSquare:
         out = []
         for sgn, chosen in zip(signs, choices):
             H = cls.__new__(cls)
-            H.square, H.signs, H.choices = square, sgn, chosen
-            H._quads = H._verdict = H._first_hit = None
+            H.square, H.signs, H.choices, H._checks = square, sgn, chosen, None
             out.append(H)
         return out
 
     @property
-    def _quad_products(self):
-        """quad_sign_products of this square, gathered on first use and kept,
-        product read-only, so every check of one square shares one gather."""
-        if self._quads is None:
-            quads, open_corners, product = quad_sign_products(self.square.entries, self.signs)
-            product.setflags(write=False)
-            self._quads = quads, open_corners, product
-        return self._quads
+    def _decision(self):
+        """:func:`_decide` of this square, kept from its enumeration or from
+        first use, so every check of one square shares one decision."""
+        if self._checks is None:
+            self._checks = _decide(self.square, self.signs)
+        return self._checks
 
     @property
     def n(self) -> int:
@@ -114,18 +110,48 @@ class SignedLatinSquare:
         return self.signs * self.square.entries
 
     def to_tuple(self) -> tuple[tuple[int, ...], ...]:
-        """Canonical row-major serialization; defines matrix identity."""
+        """Canonical row-major serialization of the signed entries."""
         return tuple(tuple(int(v) for v in row) for row in self.signed_entries())
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, SignedLatinSquare)
-                and self.to_tuple() == other.to_tuple())
+        return other is self or (isinstance(other, SignedLatinSquare)
+                                 and self.square == other.square
+                                 and bool(np.array_equal(self.signs, other.signs)))
 
     def __hash__(self) -> int:
-        return hash(self.to_tuple())
+        return hash((self.square, self.signs.tobytes()))
 
     def __repr__(self) -> str:
         return f"SignedLatinSquare(w={self.w}, choices={self.choices})"
+
+
+def _decide(square: LatinSquare, signs: np.ndarray):
+    """The one rule that reads the checks of signed squares off their signs.
+
+    signs is one (n, n) sign matrix or an (m, n, n) block of them on the
+    symbols of square.  Returns (quads, open_corners, unit_free, product,
+    verdict, first_hit): the quad frame's three read-only arrays, the
+    quad_sign_products product (read-only), the Latin-Hadamard verdict
+    (every corner closes and every quad has product -1) and the index of
+    the first unit-free quad with product +1, or the number of quads if
+    there is none.  One matrix gives a (Q,) product, a bool and an int; a
+    block gives an (m, Q) product and a list of each.  Both shapes share
+    every expression: each reduction runs down the quad axis.
+    """
+    quads, open_corners, product = quad_sign_products(square.entries, signs)
+    product.setflags(write=False)
+    unit_free = _quad_frame(square.entries.tobytes(), square.n)[3]
+    # A block's product is the transpose of a C-ordered (Q, m) array: the
+    # rows of P are contiguous, and each reduction below runs along them.
+    P, q = product.T, len(quads)
+    # Each product is +/-1, so all are -1 exactly when the largest is;
+    # initial=-1 covers n = 1, which has no quads.
+    verdict = (P.max(axis=0, initial=-1) == -1) & (not len(open_corners))
+    # (U,) or, against a block's (U, m) hits, (U, 1).  take, not
+    # P[unit_free]: a small unsigned index costs a cast there.
+    index = unit_free.reshape(unit_free.shape + (1,) * (P.ndim - 1))
+    first = np.where(P.take(unit_free, axis=0) == 1, index, q).min(axis=0, initial=q)
+    return quads, open_corners, unit_free, product, verdict.tolist(), first.tolist()
 
 
 def num_free_choices(w: int) -> int:
@@ -224,13 +250,9 @@ def enumerate_colorings(square: LatinSquare):
     '0' = '+' and '1' = '-', leftmost bit consumed first, so candidate
     order is reproducible.  The signs of all candidates (at most 2**11,
     at w = EXHAUSTIVE_MAX_W) are doubled at once and checked once, and
-    their quad sign products are gathered in one block call; each
-    coloring's signs and products are read-only views into those blocks.
-    The Latin-Hadamard verdicts and first zero-divisor quads of all
-    candidates are decided at once, each as one reduction down the
-    (quads, candidates) block, and kept with each coloring, so
-    :func:`is_latin_hadamard` and the first item of
-    :func:`~latinhadamard.algebra.find_zero_divisors` read them back.
+    :func:`_decide` decides the checks of the whole block in one call;
+    each coloring keeps its own, and its signs and products are
+    read-only views into the blocks.
     """
     if square.w > EXHAUSTIVE_MAX_W:
         raise SizeError(
@@ -244,21 +266,9 @@ def enumerate_colorings(square: LatinSquare):
     signs = _double_signs(square.w, choices)
     colorings = SignedLatinSquare._checked_block(
         square, signs, list(map(tuple, choices[:, 1:].tolist())))
-    quads, open_corners, products = quad_sign_products(square.entries, signs)
-    products.setflags(write=False)
-    # products is the transpose of a C-ordered (Q, m) block: the rows of
-    # P are contiguous, and each reduction below runs along them.
-    P, q = products.T, len(quads)
-    verdicts = (P.max(axis=0, initial=-1) == -1) & (not len(open_corners))
-    # Quad indices fit int16 (q = 960 at w = 4), which keeps the where
-    # small; a candidate without a unit-free +1 quad gets q.
-    unit_free = _quad_frame(square.entries.tobytes(), square.n)[3]
-    firsts = np.where(P[unit_free] == 1, unit_free.astype(np.int16)[:, None],
-                      np.int16(q)).min(axis=0, initial=q)
-    for H, product, verdict, first in zip(colorings, products, verdicts.tolist(),
-                                          firsts.tolist()):
-        H._quads = quads, open_corners, product
-        H._verdict, H._first_hit = verdict, first
+    quads, open_corners, unit_free, products, verdicts, firsts = _decide(square, signs)
+    for H, product, verdict, first in zip(colorings, products, verdicts, firsts):
+        H._checks = quads, open_corners, unit_free, product, verdict, first
     yield from colorings
 
 
@@ -269,14 +279,9 @@ def is_latin_hadamard(H: SignedLatinSquare) -> bool:
     every closed quad must have sign product -1.  Every column holds
     each symbol once, so orthogonal columns give H^T H = (sum of x_a^2) I;
     a square matrix with H^T H = cI, c nonzero, also has H H^T = cI, so
-    the rows are orthogonal too.  A coloring from
-    :func:`enumerate_colorings` returns the verdict its enumeration
-    decided for the whole block; any other square decides it here, on
-    first use, and keeps it.
+    the rows are orthogonal too.  The verdict is the one the square
+    keeps: :func:`_decide` reached it with the square's enumeration or,
+    for any other square, on first use, together with its first
+    zero-divisor quad.
     """
-    if H._verdict is None:
-        _, open_corners, product = H._quad_products
-        # Each product is +/-1, so all are -1 exactly when the largest
-        # is; initial=-1 covers n = 1, which has no quads.
-        H._verdict = not len(open_corners) and bool(product.max(initial=-1) == -1)
-    return H._verdict
+    return H._decision[4]

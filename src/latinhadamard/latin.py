@@ -168,7 +168,8 @@ def _quad_frame(symbol_bytes: bytes, n: int):
     S[i, k]) does not close the quad; gather holds the flat indices of
     G[i, k], G[i, l], G[j, k] and G[j, l] for each quad, one row per
     corner; unit_free indexes the quads with i >= 1 and k >= 1, which
-    keep row and column 0 (the unit of a table) out.  Built one row i
+    keep row and column 0 (the unit of a table) out, in the smallest
+    unsigned type that also holds the quad count.  Built one row i
     at a time, so no n x n x n array is formed, and cached on the
     symbols, so squares that share their symbols share one frame.
     """
@@ -188,7 +189,7 @@ def _quad_frame(symbol_bytes: bytes, n: int):
     open_corners = np.concatenate(corners) if corners else np.empty((0, 4), dtype=np.int64)
     i, j, k, l = quads.T
     gather = np.stack((i * n + k, i * n + l, j * n + k, j * n + l))
-    unit_free = np.flatnonzero((i >= 1) & (k >= 1))
+    unit_free = np.flatnonzero((i >= 1) & (k >= 1)).astype(np.min_scalar_type(len(quads)))
     for arr in (quads, open_corners, gather, unit_free):
         arr.setflags(write=False)
     return quads, open_corners, gather, unit_free
@@ -210,8 +211,8 @@ def quad_sign_products(symbols, signs):
     read-only from a small cache, so a repeat call on the same square
     pays only for four flat gathers of the signs, in int64.  A structured
     square has n**2 (n - 1) / 4 quads and no open corners; its cached
-    frame holds about 9 int64 per quad, about 18 n**3 bytes (37 MB at
-    n = 128, where a first call peaks at about 59 MB).  Squares above
+    frame holds 8 int64 per quad and the unit-free index, about 17 n**3
+    bytes (35 MB at n = 128, where a first call peaks at about 56 MB).  Squares above
     QUAD_MAX_N raise SizeError before anything is allocated.
 
     signs may also be an (m, n, n) stack of +/-1 sign matrices on the

@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from latinhadamard import (SignedLatinSquare, ValidationError,
+from latinhadamard import (SignedLatinSquare, ValidationError, ZeroDivisorPair,
                            choices_from_bitstring, choices_to_bitstring, color,
                            coloring, construct_latin_square, enumerate_colorings,
                            find_zero_divisors, is_latin_hadamard, num_free_choices,
@@ -121,25 +121,26 @@ def test_enumeration_size_guard():
 
 def test_orthogonality_check_size_guard():
     # n = 256 is above the quad kernel's n <= 128 guard; color serves
-    # such squares, so it leaves the products to the first check
+    # such squares, so it leaves the checks to the first use
     H = color(construct_latin_square(8), (1,) * num_free_choices(8))
-    assert H._quads is None and H._verdict is None
+    assert H._checks is None
     with pytest.raises(SizeError):
         is_latin_hadamard(H)
+    assert H._checks is None
 
 
 def test_enumerated_products_equal_single_and_lazy_products():
-    # enumerate_colorings gathers every candidate's quad products in one
-    # block call; each stored row must be the single-matrix kernel's
+    # enumerate_colorings decides every candidate's checks in one block
+    # call; each stored product row must be the single-matrix kernel's
     # product and the direct four-sign product, and a square built from
-    # the same entries or the same choices gathers the same products
+    # the same entries or the same choices decides the same checks
     # lazily, on first use, and gives the same verdict
     for w in (2, 3, 4):
         square = construct_latin_square(w)
         for H in enumerate_colorings(square):
-            stored = H._quad_products
-            assert H._quad_products is stored
-            quads, open_corners, product = stored
+            stored = H._checks
+            assert H._decision is stored
+            quads, open_corners, unit_free, product, verdict, _ = stored
             assert not product.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 product[0] = product[0]
@@ -147,37 +148,67 @@ def test_enumerated_products_equal_single_and_lazy_products():
             i, j, k, l = quads.T
             assert np.array_equal(product, G[i, k] * G[i, l] * G[j, k] * G[j, l])
             assert np.array_equal(product, quad_sign_products(square.entries, G)[2])
-            verdict = is_latin_hadamard(H)
+            assert is_latin_hadamard(H) is verdict
             for twin in (SignedLatinSquare(H.signed_entries()), color(square, H.choices)):
-                assert twin._quads is None
-                assert twin._verdict is None and twin._first_hit is None
+                assert twin._checks is None
                 assert is_latin_hadamard(twin) == verdict
-                assert twin._first_hit is None  # the verdict alone does not scan
-                lazy = twin._quad_products
-                assert twin._quad_products is lazy
-                assert not lazy[2].flags.writeable
-                assert lazy[2].dtype == np.int64 and np.array_equal(lazy[2], product)
+                lazy = twin._checks
+                assert twin._decision is lazy
+                assert lazy[0] is quads and lazy[1] is open_corners and lazy[2] is unit_free
+                assert not lazy[3].flags.writeable
+                assert lazy[3].dtype == np.int64 and np.array_equal(lazy[3], product)
 
 
 def test_enumerated_verdicts_and_first_divisors_equal_lazy_and_oracles():
     # enumerate_colorings decides every candidate's verdict and first
     # zero-divisor quad for its whole block at once; a twin built from
-    # the same entries decides each on first use, and the Gram and
+    # the same entries decides both on first use, and the Gram and
     # brute-force oracles decide them without the quad products
     for w in (2, 3, 4):
         for H in enumerate_colorings(construct_latin_square(w)):
-            assert type(H._verdict) is bool and type(H._first_hit) is int
+            *_, verdict, first_hit = H._checks
+            assert type(verdict) is bool and type(first_hit) is int
             twin = SignedLatinSquare(H.signed_entries())
-            verdict = is_latin_hadamard(H)
-            assert verdict is H._verdict
+            assert is_latin_hadamard(H) is verdict
             assert verdict is is_latin_hadamard(twin)
             assert verdict == gram_is_latin_hadamard(H)
             first = next(find_zero_divisors(table_from_signed_square(H)), None)
             assert first == next(find_zero_divisors(table_from_signed_square(twin)), None)
             assert first == next(scan_zero_divisors(table_from_signed_square(H)), None)
-            assert twin._first_hit == H._first_hit
+            assert type(twin._checks[5]) is int and twin._checks[5] == first_hit
             assert (first is None) == verdict
             assert first is None or all(type(v) is int for v in first)
+
+
+def scan_checks(H):
+    """(verdict, first zero divisor) by a plain-Python pass over the
+    output of quad_sign_products: the verdict holds when every corner
+    closes and every product is -1; the first divisor comes from the
+    first quad off the unit row and column with product +1."""
+    quads, open_corners, product = quad_sign_products(H.square.entries, H.signs)
+    G = H.signs.tolist()
+    rows = list(zip(quads.tolist(), product.tolist()))
+    verdict = not len(open_corners) and all(p == -1 for _, p in rows)
+    first = next((ZeroDivisorPair(i + 1, j + 1, 1, k + 1, l + 1, -G[j][k] * G[i][l])
+                  for (i, j, k, l), p in rows if i >= 1 and k >= 1 and p == 1), None)
+    return verdict, first
+
+
+@pytest.mark.parametrize("seed", (None, 20261020))
+@pytest.mark.parametrize("w", (6, 7))
+def test_large_square_decision_equals_plain_scan(w, seed):
+    # 64,512 quads at n = 64 and 520,192 at n = 128, both beyond int16:
+    # the first-hit index and its no-hit value q take the frame's dtype
+    b = num_free_choices(w)
+    choices = ((1,) * b if seed is None
+               else tuple(np.random.default_rng(seed).choice((-1, 1), size=b).tolist()))
+    H = color(construct_latin_square(w), choices)
+    verdict, first = scan_checks(H)
+    assert is_latin_hadamard(H) is verdict
+    assert next(find_zero_divisors(table_from_signed_square(H)), None) == first
+    quads, _, unit_free = H._checks[:3]
+    assert len(quads) > np.iinfo(np.int16).max
+    assert np.iinfo(unit_free.dtype).max >= len(quads)
 
 
 def test_survivor_sets_match_reference_lists():
@@ -339,6 +370,14 @@ def test_serialization_roundtrip_and_identity():
     assert clone.to_tuple() == H.to_tuple()
     other = color(square, (1, 1, 1, 1))
     assert other != H
+    # identity is the symbols and the signs, compared as arrays
+    flipped = H.signed_entries()
+    flipped[1, 2] *= -1
+    assert SignedLatinSquare(flipped) != H
+    cyclic = LatinSquare([[1, 2, 3, 4], [2, 3, 4, 1], [3, 4, 1, 2], [4, 1, 2, 3]])
+    G = color(construct_latin_square(2), (1,)).signs
+    assert SignedLatinSquare(G * cyclic.entries) != SignedLatinSquare(
+        G * construct_latin_square(2).entries)
 
 
 @pytest.mark.parametrize("w", (1, 2, 3, 4))

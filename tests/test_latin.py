@@ -6,7 +6,8 @@ import pytest
 from latinhadamard import (InternalConsistencyError, SignedLatinSquare, SizeError,
                            ValidationError, construct_latin_square, enumerate_abba_quads,
                            quad_sign_products, sylvester_hadamard)
-from latinhadamard import latin
+from latinhadamard import is_latin_hadamard, latin
+from latinhadamard.coloring import _decide
 from latinhadamard.latin import CornerQuad, LatinSquare
 
 from reference_tables import LATIN_SQUARE_16
@@ -223,6 +224,40 @@ def test_quad_kernel_stack_gives_each_matrix_its_single_product(name):
         assert single[0] is quads and single[1] is open_corners
         assert single[2].dtype == np.int64 and np.array_equal(row, single[2])
         _assert_kernel_matches(S, G, quads, open_corners, row)
+
+
+@pytest.mark.parametrize("name", ["cyclic", "transposed"])
+def test_decision_of_a_stack_equals_each_matrix_and_a_scan(name):
+    # the one rule that decides verdicts and first zero-divisor quads,
+    # on squares whose corners may stay open: a (5, 8, 8) stack and each
+    # of its sign matrices alone reach the same verdict and first hit,
+    # and so does a direct scan of the four-sign products
+    square = LatinSquare(KERNEL_SQUARES[name]())
+    stack = np.random.default_rng(30).choice((-1, 1), size=(5, 8, 8))
+    stack[:, 0, :] = stack[:, :, 0] = 1
+    stack[:, range(1, 8), range(1, 8)] = -1
+    if name == "cyclic":
+        # its closed quads are disjoint 2 x 2 blocks, so flipping one free
+        # corner of each +1 quad leaves every product -1: only the open
+        # corners then make the verdict False
+        quads, _, product = quad_sign_products(square.entries, stack[0])
+        for (i, j, k, l), p in zip(quads.tolist(), product.tolist()):
+            if p == 1:
+                r, c = next((r, c) for r, c in ((i, k), (i, l), (j, k), (j, l))
+                            if r and c and r != c)
+                stack[0, r, c] *= -1
+        assert (quad_sign_products(square.entries, stack[0])[2] == -1).all()
+    quads, open_corners, _, _, verdicts, firsts = _decide(square, stack)
+    for G, verdict, first in zip(stack, verdicts, firsts):
+        single = _decide(square, G)
+        assert single[4] is verdict and type(verdict) is bool
+        assert single[5] == first and type(first) is int
+        assert is_latin_hadamard(SignedLatinSquare(G * square.entries)) is verdict
+        product = [G[i, k] * G[i, l] * G[j, k] * G[j, l] for i, j, k, l in quads.tolist()]
+        assert verdict == (not len(open_corners) and all(p == -1 for p in product))
+        assert first == next((q for q, (i, _, k, _) in enumerate(quads.tolist())
+                              if i >= 1 and k >= 1 and product[q] == 1), len(quads))
+    assert (name == "cyclic") == bool(len(open_corners))
 
 
 def test_quad_frame_is_read_only():

@@ -49,3 +49,12 @@ def test_public_names_are_pinned():
     public = sorted(name for name, value in vars(latinhadamard).items()
                     if not name.startswith("_") and not inspect.ismodule(value))
     assert public == PUBLIC_NAMES
+
+
+def test_quad_frame_stays_behind_latin_and_coloring():
+    # the frame's unit-free quads feed one rule, coloring._decide; a
+    # module that reaches the frame could decide checks a second way
+    sources = {module: inspect.getsource(importlib.import_module(f"latinhadamard.{module}"))
+               for module in MODULES + ("cli",)}
+    readers = [module for module, source in sources.items() if "_quad_frame" in source]
+    assert readers == ["coloring", "latin"]
