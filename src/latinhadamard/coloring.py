@@ -58,8 +58,9 @@ class SignedLatinSquare:
 
     Its checks are decided once, by :func:`_decide`, and kept: the quad
     products, the Latin-Hadamard verdict and the index of the first
-    unit-free quad with product +1.  :func:`enumerate_colorings` decides
-    them for its whole block; any other square on first use.
+    unit-free quad with product +1.  All colorings of one w share one
+    decision (:func:`_coloring_decision`); any other square decides from
+    its own signs.  Both are made on first use.
     """
 
     __slots__ = ("square", "signs", "choices", "_checks")
@@ -91,10 +92,11 @@ class SignedLatinSquare:
 
     @property
     def _decision(self):
-        """:func:`_decide` of this square, kept from its enumeration or from
-        first use, so every check of one square shares one decision."""
+        """:func:`_decide` of this square, kept from first use; a coloring
+        reads the one decision its w shares."""
         if self._checks is None:
-            self._checks = _decide(self.square, self.signs)
+            self._checks = (_decide(self.square, self.signs) if self.choices is None
+                            else _coloring_decision(self.w))
         return self._checks
 
     @property
@@ -126,32 +128,40 @@ class SignedLatinSquare:
 
 
 def _decide(square: LatinSquare, signs: np.ndarray):
-    """The one rule that reads the checks of signed squares off their signs.
+    """The one rule that reads the checks of a signed square off its signs.
 
-    signs is one (n, n) sign matrix or an (m, n, n) block of them on the
-    symbols of square.  Returns (quads, open_corners, unit_free, product,
-    verdict, first_hit): the quad frame's three read-only arrays, the
-    quad_sign_products product (read-only), the Latin-Hadamard verdict
-    (every corner closes and every quad has product -1) and the index of
+    signs is one (n, n) sign matrix on the symbols of square.  Returns
+    (quads, open_corners, unit_free, product, verdict, first_hit): the
+    quad frame's three read-only arrays, the quad_sign_products product
+    (read-only), the Latin-Hadamard verdict as a bool (every corner
+    closes and every quad has product -1) and, as an int, the index of
     the first unit-free quad with product +1, or the number of quads if
-    there is none.  One matrix gives a (Q,) product, a bool and an int; a
-    block gives an (m, Q) product and a list of each.  Both shapes share
-    every expression: each reduction runs down the quad axis.
+    there is none.
     """
     quads, open_corners, product = quad_sign_products(square.entries, signs)
     product.setflags(write=False)
     unit_free = _quad_frame(square.entries.tobytes(), square.n)[3]
-    # A block's product is the transpose of a C-ordered (Q, m) array: the
-    # rows of P are contiguous, and each reduction below runs along them.
-    P, q = product.T, len(quads)
     # Each product is +/-1, so all are -1 exactly when the largest is;
     # initial=-1 covers n = 1, which has no quads.
-    verdict = (P.max(axis=0, initial=-1) == -1) & (not len(open_corners))
-    # (U,) or, against a block's (U, m) hits, (U, 1).  take, not
-    # P[unit_free]: a small unsigned index costs a cast there.
-    index = unit_free.reshape(unit_free.shape + (1,) * (P.ndim - 1))
-    first = np.where(P.take(unit_free, axis=0) == 1, index, q).min(axis=0, initial=q)
-    return quads, open_corners, unit_free, product, verdict.tolist(), first.tolist()
+    verdict = not len(open_corners) and bool(product.max(initial=-1) == -1)
+    # The hits find_zero_divisors lists.  take, not product[unit_free]: a
+    # small unsigned index costs a cast there.
+    hits = unit_free[product.take(unit_free) == 1]
+    return (quads, open_corners, unit_free, product, verdict,
+            int(hits[0]) if len(hits) else len(quads))
+
+
+@functools.lru_cache(maxsize=8)
+def _coloring_decision(w: int):
+    """:func:`_decide` of the all-plus coloring of the 2**w square, which
+    every coloring of that square shares: the doubling writes each sign
+    as a product of choices and earlier signs, so each quad product is an
+    affine GF(2) function of the choice bits, and no single flip of the
+    all-plus coloring changes one.  Made on first use, so a square above
+    the quad kernel's limit raises SizeError only then.
+    """
+    signs = _double_signs(w, np.ones((1, num_free_choices(w) + 1), dtype=np.int64))[0]
+    return _decide(construct_latin_square(w), signs)
 
 
 def num_free_choices(w: int) -> int:
@@ -250,9 +260,9 @@ def enumerate_colorings(square: LatinSquare):
     '0' = '+' and '1' = '-', leftmost bit consumed first, so candidate
     order is reproducible.  The signs of all candidates (at most 2**11,
     at w = EXHAUSTIVE_MAX_W) are doubled at once and checked once, and
-    :func:`_decide` decides the checks of the whole block in one call;
-    each coloring keeps its own, and its signs and products are
-    read-only views into the blocks.
+    each coloring's signs are a read-only view into the block.  Every
+    candidate reads the one decision its w shares, so their verdicts are
+    all True or all False.
     """
     if square.w > EXHAUSTIVE_MAX_W:
         raise SizeError(
@@ -264,12 +274,8 @@ def enumerate_colorings(square: LatinSquare):
     # Bit b of an index below 2**b is 0: the leading 1 of each row.
     choices = 1 - 2 * ((np.arange(2 ** b)[:, None] >> np.arange(b, -1, -1)) & 1)
     signs = _double_signs(square.w, choices)
-    colorings = SignedLatinSquare._checked_block(
+    yield from SignedLatinSquare._checked_block(
         square, signs, list(map(tuple, choices[:, 1:].tolist())))
-    quads, open_corners, unit_free, products, verdicts, firsts = _decide(square, signs)
-    for H, product, verdict, first in zip(colorings, products, verdicts, firsts):
-        H._checks = quads, open_corners, unit_free, product, verdict, first
-    yield from colorings
 
 
 def is_latin_hadamard(H: SignedLatinSquare) -> bool:
@@ -280,8 +286,7 @@ def is_latin_hadamard(H: SignedLatinSquare) -> bool:
     each symbol once, so orthogonal columns give H^T H = (sum of x_a^2) I;
     a square matrix with H^T H = cI, c nonzero, also has H H^T = cI, so
     the rows are orthogonal too.  The verdict is the one the square
-    keeps: :func:`_decide` reached it with the square's enumeration or,
-    for any other square, on first use, together with its first
-    zero-divisor quad.
+    keeps, reached by :func:`_decide` on first use together with its
+    first zero-divisor quad; every coloring of one w shares one.
     """
     return H._decision[4]

@@ -212,38 +212,26 @@ def quad_sign_products(symbols, signs):
     pays only for four flat gathers of the signs, in int64.  A structured
     square has n**2 (n - 1) / 4 quads and no open corners; its cached
     frame holds 8 int64 per quad and the unit-free index, about 17 n**3
-    bytes (35 MB at n = 128, where a first call peaks at about 56 MB).  Squares above
-    QUAD_MAX_N raise SizeError before anything is allocated.
-
-    signs may also be an (m, n, n) stack of +/-1 sign matrices on the
-    same symbols; product is then an (m, Q) int8 array, row c for
-    signs[c].  The stack is gathered as one (n*n, m) int8 transpose, one
-    row gather per corner: the 2048 sign matrices of w = 4 take about
-    2.5 ms this way, against about 24 ms as 2048 single calls (2-CPU
-    host, numpy 2.4).
+    bytes (35 MB at n = 128, where a first call peaks at about 56 MB).
+    Squares above QUAD_MAX_N raise SizeError before anything is
+    allocated, and signs of any shape but (n, n) raise ValidationError.
 
     Columns k and l are symbolically orthogonal exactly when every
     quad through them closes with product -1; a closed quad with
     product +1 and no index on the unit is a zero divisor
     (e_i +/- e_j)(e_k +/- e_l) of the table read from (symbols, signs).
-    Exact integer arithmetic.  symbols and signs are integer arrays taken
-    as given, unscreened: every caller passes the entries and signs of a
-    square that LatinSquare and SignedLatinSquare have already screened.
+    Exact integer arithmetic.  The values of symbols and signs are taken
+    as given: every caller passes the entries and signs of a square that
+    LatinSquare and SignedLatinSquare have already screened.
     """
     n = np.shape(symbols)[0]
     if n > QUAD_MAX_N:
         raise SizeError(f"the AB-BA quad kernel is limited to n <= {QUAD_MAX_N}, got n={n}")
+    G = np.asarray(signs, dtype=np.int64)
+    if G.shape != (n, n):
+        raise ValidationError(f"signs must form a {(n, n)} array, got shape {G.shape}")
     S = np.asarray(symbols, dtype=np.int64)
     quads, open_corners, gather, _ = _quad_frame(S.tobytes(), n)
-    G = np.asarray(signs, dtype=np.int64)
-    if G.ndim == 3:
-        # Rows, not columns, are gathered: a column gather on the (m, n*n)
-        # layout is several times slower.  +/-1 products are exact in int8.
-        flat = np.ascontiguousarray(G.astype(np.int8).reshape(len(G), -1).T)
-        product = flat[gather[0]]
-        for corner in gather[1:]:
-            product *= flat[corner]
-        return quads, open_corners, product.T
     return quads, open_corners, G.ravel()[gather].prod(axis=0)
 
 

@@ -129,17 +129,41 @@ def test_orthogonality_check_size_guard():
     assert H._checks is None
 
 
+@pytest.mark.parametrize("w", (1, 2, 3, 4, 5, 6))
+def test_flipped_choices_keep_every_quad_product(w):
+    # why every coloring of one w shares one decision, witnessed with the
+    # propagation oracle, which shares no code with the sign doubling or
+    # _decide: flipping any one free choice of the all-plus coloring, or
+    # seeded sets of them at w = 5 and 6, leaves every quad product as is
+    square = construct_latin_square(w)
+    b = num_free_choices(w)
+    flips = [tuple(np.where(np.arange(b) == c, -1, 1).tolist()) for c in range(b)]
+    if w >= 5:
+        rng = np.random.default_rng(20261021 + w)
+        flips += [tuple(rng.choice((-1, 1), size=b).tolist()) for _ in range(8)]
+    plus = (1,) * b
+    product = quad_sign_products(square.entries, propagate_signs(square, plus))[2]
+    shared = color(square, plus)._decision
+    assert np.array_equal(shared[3], product)
+    for choices in flips:
+        G = propagate_signs(square, choices)
+        assert np.array_equal(quad_sign_products(square.entries, G)[2], product)
+        assert color(square, choices)._decision is shared
+    if w <= 4:
+        assert all(H._decision is shared for H in enumerate_colorings(square))
+
+
 def test_enumerated_products_equal_single_and_lazy_products():
-    # enumerate_colorings decides every candidate's checks in one block
-    # call; each stored product row must be the single-matrix kernel's
-    # product and the direct four-sign product, and a square built from
-    # the same entries or the same choices decides the same checks
-    # lazily, on first use, and gives the same verdict
+    # every candidate reads the decision its w shares; its products must
+    # be the candidate's own direct four-sign product and the kernel's
+    # product of its own signs, and a square built from the same entries
+    # decides the same checks from its own signs, lazily, on first use
     for w in (2, 3, 4):
         square = construct_latin_square(w)
         for H in enumerate_colorings(square):
-            stored = H._checks
-            assert H._decision is stored
+            assert H._checks is None
+            stored = H._decision
+            assert H._checks is stored and color(square, H.choices)._decision is stored
             quads, open_corners, unit_free, product, verdict, _ = stored
             assert not product.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -149,24 +173,26 @@ def test_enumerated_products_equal_single_and_lazy_products():
             assert np.array_equal(product, G[i, k] * G[i, l] * G[j, k] * G[j, l])
             assert np.array_equal(product, quad_sign_products(square.entries, G)[2])
             assert is_latin_hadamard(H) is verdict
-            for twin in (SignedLatinSquare(H.signed_entries()), color(square, H.choices)):
-                assert twin._checks is None
-                assert is_latin_hadamard(twin) == verdict
-                lazy = twin._checks
-                assert twin._decision is lazy
-                assert lazy[0] is quads and lazy[1] is open_corners and lazy[2] is unit_free
-                assert not lazy[3].flags.writeable
-                assert lazy[3].dtype == np.int64 and np.array_equal(lazy[3], product)
+            twin = SignedLatinSquare(H.signed_entries())
+            assert twin._checks is None
+            assert is_latin_hadamard(twin) == verdict
+            lazy = twin._checks
+            assert twin._decision is lazy and lazy is not stored
+            # equal, not the same: the frame cache may have rebuilt the
+            # frame since the shared decision was made
+            assert all(np.array_equal(a, b) for a, b in zip(lazy[:3], stored[:3]))
+            assert not lazy[3].flags.writeable
+            assert lazy[3].dtype == np.int64 and np.array_equal(lazy[3], product)
 
 
 def test_enumerated_verdicts_and_first_divisors_equal_lazy_and_oracles():
-    # enumerate_colorings decides every candidate's verdict and first
-    # zero-divisor quad for its whole block at once; a twin built from
-    # the same entries decides both on first use, and the Gram and
-    # brute-force oracles decide them without the quad products
+    # every candidate reads the verdict and first zero-divisor quad its w
+    # shares; a twin built from the same entries decides both from its
+    # own signs on first use, and the Gram and brute-force oracles decide
+    # them without the quad products
     for w in (2, 3, 4):
         for H in enumerate_colorings(construct_latin_square(w)):
-            *_, verdict, first_hit = H._checks
+            *_, verdict, first_hit = H._decision
             assert type(verdict) is bool and type(first_hit) is int
             twin = SignedLatinSquare(H.signed_entries())
             assert is_latin_hadamard(H) is verdict

@@ -211,47 +211,39 @@ def test_quad_kernel_gives_each_sign_matrix_its_own_product():
     _assert_kernel_matches(S, G2, *second)
 
 
-@pytest.mark.parametrize("name", ["cyclic", "transposed", "3"])
-def test_quad_kernel_stack_gives_each_matrix_its_single_product(name):
-    # an (m, n, n) stack is gathered in one int8 block; row c must be the
-    # single-matrix int64 product of signs[c], open corners or not
-    S = KERNEL_SQUARES[name]()
-    stack = np.random.default_rng(7).choice((-1, 1), size=(5, 8, 8))
-    quads, open_corners, products = quad_sign_products(S, stack)
-    assert products.shape == (5, len(quads)) and products.dtype == np.int8
-    for G, row in zip(stack, products):
-        single = quad_sign_products(S, G)
-        assert single[0] is quads and single[1] is open_corners
-        assert single[2].dtype == np.int64 and np.array_equal(row, single[2])
-        _assert_kernel_matches(S, G, quads, open_corners, row)
+@pytest.mark.parametrize("shape", [(5, 5), (2, 2), (3, 4, 4)])
+def test_quad_kernel_rejects_signs_of_another_shape(shape):
+    # a larger matrix would be read at the wrong cells, a smaller one
+    # fail inside the gather, and a stack give its first matrix's products
+    with pytest.raises(ValidationError, match=r"^signs must form a \(4, 4\) array"):
+        quad_sign_products(construct_latin_square(2).entries, np.ones(shape, dtype=np.int64))
 
 
 @pytest.mark.parametrize("name", ["cyclic", "transposed"])
-def test_decision_of_a_stack_equals_each_matrix_and_a_scan(name):
+def test_decision_of_each_matrix_equals_a_scan(name):
     # the one rule that decides verdicts and first zero-divisor quads,
-    # on squares whose corners may stay open: a (5, 8, 8) stack and each
-    # of its sign matrices alone reach the same verdict and first hit,
-    # and so does a direct scan of the four-sign products
+    # on squares whose corners may stay open: each of five sign matrices
+    # reaches the verdict and first hit of a direct scan of its
+    # four-sign products, and so does a square built from it
     square = LatinSquare(KERNEL_SQUARES[name]())
-    stack = np.random.default_rng(30).choice((-1, 1), size=(5, 8, 8))
-    stack[:, 0, :] = stack[:, :, 0] = 1
-    stack[:, range(1, 8), range(1, 8)] = -1
+    matrices = np.random.default_rng(30).choice((-1, 1), size=(5, 8, 8))
+    matrices[:, 0, :] = matrices[:, :, 0] = 1
+    matrices[:, range(1, 8), range(1, 8)] = -1
     if name == "cyclic":
         # its closed quads are disjoint 2 x 2 blocks, so flipping one free
         # corner of each +1 quad leaves every product -1: only the open
         # corners then make the verdict False
-        quads, _, product = quad_sign_products(square.entries, stack[0])
+        quads, _, product = quad_sign_products(square.entries, matrices[0])
         for (i, j, k, l), p in zip(quads.tolist(), product.tolist()):
             if p == 1:
                 r, c = next((r, c) for r, c in ((i, k), (i, l), (j, k), (j, l))
                             if r and c and r != c)
-                stack[0, r, c] *= -1
-        assert (quad_sign_products(square.entries, stack[0])[2] == -1).all()
-    quads, open_corners, _, _, verdicts, firsts = _decide(square, stack)
-    for G, verdict, first in zip(stack, verdicts, firsts):
-        single = _decide(square, G)
-        assert single[4] is verdict and type(verdict) is bool
-        assert single[5] == first and type(first) is int
+                matrices[0, r, c] *= -1
+        assert (quad_sign_products(square.entries, matrices[0])[2] == -1).all()
+        assert _decide(square, matrices[0])[4] is False
+    for G in matrices:
+        quads, open_corners, _, _, verdict, first = _decide(square, G)
+        assert type(verdict) is bool and type(first) is int
         assert is_latin_hadamard(SignedLatinSquare(G * square.entries)) is verdict
         product = [G[i, k] * G[i, l] * G[j, k] * G[j, l] for i, j, k, l in quads.tolist()]
         assert verdict == (not len(open_corners) and all(p == -1 for p in product))
