@@ -21,8 +21,7 @@ from .coloring import (SignedLatinSquare, choices_from_bitstring,
 from .design import (DESIGN_16_CELL_VARIABLES, OrthogonalDesign, builtin_design_16,
                      design_to_eigenbasis, verify_design)
 from .errors import InternalConsistencyError, SizeError, ValidationError
-from .latin import (CornerQuad, LatinSquare, construct_latin_square,
-                    enumerate_abba_quads, quad_sign_products)
+from .latin import CornerQuad, LatinSquare, construct_latin_square, enumerate_abba_quads
 from .power import (BinningScheme, DistributionSpec, PowerSimConfig, PowerSimResult,
                     bin_edges, chi_square_critical, matched_normal_null,
                     normal_critical, preset_probability, simulate_power)

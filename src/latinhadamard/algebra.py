@@ -119,7 +119,7 @@ def find_zero_divisors(table: AlgebraTable):
     sign = int(G[b, c] * G[a, d])
     yield ZeroDivisorPair(a + 1, b + 1, 1, c + 1, d + 1, -sign)
     yield ZeroDivisorPair(a + 1, b + 1, -1, c + 1, d + 1, sign)
-    rest = quads[unit_free[product.take(unit_free) == 1][1:]]
+    rest = quads[unit_free[product[unit_free] == 1][1:]]
     i, j, k, l = rest.T
     for (a, b, c, d), sign in zip(rest.tolist(), (G[j, k] * G[i, l]).tolist()):
         for s1 in (1, -1):

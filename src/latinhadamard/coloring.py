@@ -10,8 +10,8 @@ relation and antisymmetry (see :func:`color`).
 Orthogonality of *all* column pairs is then a property to be checked,
 not a given: it holds for every coloring at n = 4 and n = 8 and for
 none at n = 16.  The check reads one sign product per AB-BA quad
-(latin.quad_sign_products) over exact integers, so the negative result
-at n = 16 is bit-exact.
+(latin._decide) over exact integers, so the negative result at n = 16
+is bit-exact.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import functools
 import numpy as np
 
 from .errors import SizeError, ValidationError
-from .latin import (SQUARE_MAX_W, LatinSquare, _integer, _quad_frame, _screen, _square_order,
-                    construct_latin_square, quad_sign_products)
+from .latin import (SQUARE_MAX_W, LatinSquare, _decide, _integer, _screen, _square_order,
+                    construct_latin_square)
 
 __all__ = [
     "SignedLatinSquare", "num_free_choices",
@@ -56,8 +56,8 @@ class SignedLatinSquare:
     as produced by the coloring procedure.  ``choices`` is None unless the
     square came from :func:`color` or :func:`enumerate_colorings`.
 
-    Its checks are decided once, by :func:`_decide`, and kept: the quad
-    products, the Latin-Hadamard verdict and the index of the first
+    Its checks are decided once, by :func:`latin._decide`, and kept: the
+    quad products, the Latin-Hadamard verdict and the index of the first
     unit-free quad with product +1.  All colorings of one w share one
     decision (:func:`_coloring_decision`); any other square decides from
     its own signs.  Both are made on first use.
@@ -127,30 +127,6 @@ class SignedLatinSquare:
         return f"SignedLatinSquare(w={self.w}, choices={self.choices})"
 
 
-def _decide(square: LatinSquare, signs: np.ndarray):
-    """The one rule that reads the checks of a signed square off its signs.
-
-    signs is one (n, n) sign matrix on the symbols of square.  Returns
-    (quads, open_corners, unit_free, product, verdict, first_hit): the
-    quad frame's three read-only arrays, the quad_sign_products product
-    (read-only), the Latin-Hadamard verdict as a bool (every corner
-    closes and every quad has product -1) and, as an int, the index of
-    the first unit-free quad with product +1, or the number of quads if
-    there is none.
-    """
-    quads, open_corners, product = quad_sign_products(square.entries, signs)
-    product.setflags(write=False)
-    unit_free = _quad_frame(square.entries.tobytes(), square.n)[3]
-    # Each product is +/-1, so all are -1 exactly when the largest is;
-    # initial=-1 covers n = 1, which has no quads.
-    verdict = not len(open_corners) and bool(product.max(initial=-1) == -1)
-    # The hits find_zero_divisors lists.  take, not product[unit_free]: a
-    # small unsigned index costs a cast there.
-    hits = unit_free[product.take(unit_free) == 1]
-    return (quads, open_corners, unit_free, product, verdict,
-            int(hits[0]) if len(hits) else len(quads))
-
-
 @functools.lru_cache(maxsize=8)
 def _coloring_decision(w: int):
     """:func:`_decide` of the all-plus coloring of the 2**w square, which
@@ -172,7 +148,7 @@ def num_free_choices(w: int) -> int:
 
 def choices_from_bitstring(bits: str) -> tuple[int, ...]:
     """Map '0'/'1' characters to +1/-1 choices, leftmost bit first."""
-    if not set(bits) <= {"0", "1"}:
+    if not (isinstance(bits, str) and set(bits) <= {"0", "1"}):
         raise ValidationError(f"choice bitstring must be binary, got {bits!r}")
     return tuple(1 if b == "0" else -1 for b in bits)
 

@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import InternalConsistencyError, SizeError, ValidationError
 
-__all__ = ["LatinSquare", "CornerQuad", "construct_latin_square",
-           "quad_sign_products", "enumerate_abba_quads"]
+__all__ = ["LatinSquare", "CornerQuad", "construct_latin_square", "enumerate_abba_quads"]
 
 # Largest square exponent built: a 2**10 x 2**10 int64 square is 8 MiB.
 SQUARE_MAX_W = 10
@@ -159,20 +158,28 @@ def construct_latin_square(w: int) -> LatinSquare:
 
 @functools.lru_cache(maxsize=4)
 def _quad_frame(symbol_bytes: bytes, n: int):
-    """Symbol-only part of the quad kernel for one n x n square.
+    """Symbol-only part of the quad kernel for one n x n Latin square.
 
-    Returns (quads, open_corners, gather, unit_free), each read-only.
-    quads holds every closed AB-BA quad once, as rows (i, j, k, l) with
-    i < j and k < l, in (i, j, k) order; open_corners holds the rows
-    (i, j, k, l), i < j, whose partner column l (where row j holds
-    S[i, k]) does not close the quad; gather holds the flat indices of
-    G[i, k], G[i, l], G[j, k] and G[j, l] for each quad, one row per
-    corner; unit_free indexes the quads with i >= 1 and k >= 1, which
-    keep row and column 0 (the unit of a table) out, in the smallest
-    unsigned type that also holds the quad count.  Built one row i
-    at a time, so no n x n x n array is formed, and cached on the
-    symbols, so squares that share their symbols share one frame.
+    For rows i < j and column k (0-based) the partner column l is where
+    row j holds S[i, k]; the quad closes when S[i, l] == S[j, k], and
+    then also closes from column l with partner k.  Returns (quads,
+    open_corners, gather, unit_free), each read-only: quads holds every
+    closed quad once, as rows (i, j, k, l) with i < j and k < l, in
+    (i, j, k) order; open_corners holds the rows (i, j, k, l), i < j,
+    whose partner column l does not close the quad; gather holds the
+    flat indices of G[i, k], G[i, l], G[j, k] and G[j, l] for each quad,
+    one row per corner; unit_free indexes the quads with i >= 1 and
+    k >= 1, which keep row and column 0 (the unit of a table) out.
+
+    A structured square has n**2 (n - 1) / 4 quads and no open corners,
+    and its frame holds about 18 n**3 bytes (37 MB at n = 128, where a
+    first decision peaks at about 58 MB).  Squares above QUAD_MAX_N raise
+    SizeError before anything is allocated.  Built one row i at a time,
+    so no n x n x n array is formed, and cached on the symbols, so
+    squares that share their symbols share one frame.
     """
+    if n > QUAD_MAX_N:
+        raise SizeError(f"the AB-BA quad kernel is limited to n <= {QUAD_MAX_N}, got n={n}")
     S = np.frombuffer(symbol_bytes, dtype=np.int64).reshape(n, n)
     rows = np.arange(n)
     position = np.empty((n, n + 1), dtype=np.int64)
@@ -189,50 +196,34 @@ def _quad_frame(symbol_bytes: bytes, n: int):
     open_corners = np.concatenate(corners) if corners else np.empty((0, 4), dtype=np.int64)
     i, j, k, l = quads.T
     gather = np.stack((i * n + k, i * n + l, j * n + k, j * n + l))
-    unit_free = np.flatnonzero((i >= 1) & (k >= 1)).astype(np.min_scalar_type(len(quads)))
+    unit_free = np.flatnonzero((i >= 1) & (k >= 1))
     for arr in (quads, open_corners, gather, unit_free):
         arr.setflags(write=False)
     return quads, open_corners, gather, unit_free
 
 
-def quad_sign_products(symbols, signs):
-    """Close every AB-BA quad of a Latin square and multiply its signs.
+def _decide(square: LatinSquare, signs: np.ndarray):
+    """The one rule that reads the checks of a signed square off its signs.
 
-    For rows i < j and column k (0-based) the partner column l is where
-    row j holds symbols[i, k].  The quad closes when
-    symbols[i, l] == symbols[j, k]; it then also closes from column l
-    with partner k, and the same holds with i and j swapped.  Returns
-    (quads, open_corners, product): quads is a (Q, 4) array of every
-    closed quad once, as (i, j, k, l) with i < j and k < l, in
-    (i, j, k) order; open_corners is a (C, 4) array of the corners
-    (i, j, k, l), i < j, that fail to close; and product[q] is
-    signs[i, k] * signs[i, l] * signs[j, k] * signs[j, l] for quad q.
-    quads and open_corners depend on the symbols only: they come
-    read-only from a small cache, so a repeat call on the same square
-    pays only for four flat gathers of the signs, in int64.  A structured
-    square has n**2 (n - 1) / 4 quads and no open corners; its cached
-    frame holds 8 int64 per quad and the unit-free index, about 17 n**3
-    bytes (35 MB at n = 128, where a first call peaks at about 56 MB).
-    Squares above QUAD_MAX_N raise SizeError before anything is
-    allocated, and signs of any shape but (n, n) raise ValidationError.
-
-    Columns k and l are symbolically orthogonal exactly when every
-    quad through them closes with product -1; a closed quad with
-    product +1 and no index on the unit is a zero divisor
-    (e_i +/- e_j)(e_k +/- e_l) of the table read from (symbols, signs).
-    Exact integer arithmetic.  The values of symbols and signs are taken
-    as given: every caller passes the entries and signs of a square that
-    LatinSquare and SignedLatinSquare have already screened.
+    signs is the (n, n) int64 sign matrix of a SignedLatinSquare on the
+    symbols of square, taken as given.  Returns (quads, open_corners,
+    unit_free, product, verdict, first_hit): the quad frame's three
+    read-only arrays; product[q] = G[i, k] G[i, l] G[j, k] G[j, l] for
+    quad q, exact and read-only; the Latin-Hadamard verdict as a bool
+    (every corner closes and every quad has product -1); and, as an int,
+    the index of the first unit-free quad with product +1, a zero
+    divisor (e_i +/- e_j)(e_k +/- e_l) of the table read from the
+    square, or the number of quads if there is none.
     """
-    n = np.shape(symbols)[0]
-    if n > QUAD_MAX_N:
-        raise SizeError(f"the AB-BA quad kernel is limited to n <= {QUAD_MAX_N}, got n={n}")
-    G = np.asarray(signs, dtype=np.int64)
-    if G.shape != (n, n):
-        raise ValidationError(f"signs must form a {(n, n)} array, got shape {G.shape}")
-    S = np.asarray(symbols, dtype=np.int64)
-    quads, open_corners, gather, _ = _quad_frame(S.tobytes(), n)
-    return quads, open_corners, G.ravel()[gather].prod(axis=0)
+    quads, open_corners, gather, unit_free = _quad_frame(square.entries.tobytes(), square.n)
+    product = signs.ravel()[gather].prod(axis=0)
+    product.setflags(write=False)
+    # Each product is +/-1, so all are -1 exactly when the largest is;
+    # initial=-1 covers n = 1, which has no quads.
+    verdict = not len(open_corners) and bool(product.max(initial=-1) == -1)
+    hits = unit_free[product[unit_free] == 1]  # the hits find_zero_divisors lists
+    return (quads, open_corners, unit_free, product, verdict,
+            int(hits[0]) if len(hits) else len(quads))
 
 
 def enumerate_abba_quads(square: LatinSquare):
@@ -245,7 +236,7 @@ def enumerate_abba_quads(square: LatinSquare):
     S = square.entries
     # On the transpose, rows j1 < j2 and column i1 close with partner
     # row i2 holding S[i1, j2] in column j1.
-    quads, open_corners, _ = quad_sign_products(S.T, np.ones_like(S))
+    quads, open_corners = _quad_frame(S.T.tobytes(), square.n)[:2]
     if len(open_corners):
         raise InternalConsistencyError(
             "AB-BA partner missing; the square does not have the corner property")

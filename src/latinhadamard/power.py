@@ -24,6 +24,7 @@ sends back only its rejection counts through a pipe.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import statistics
 import threading
@@ -59,12 +60,9 @@ MAX_REPS = 10 ** 7
 
 def preset_probability(name: str) -> ProbabilityVector:
     """The three standard 8-cell probability vectors, by letter."""
-    try:
-        weights = PRESET_WEIGHTS[name]
-    except KeyError:
-        raise ValidationError(
-            f"unknown preset {name!r}; choose from {', '.join(PRESET_WEIGHTS)}") from None
-    return ProbabilityVector.proportional_to(weights)
+    if not isinstance(name, str) or name not in PRESET_WEIGHTS:
+        raise ValidationError(f"unknown preset {name!r}; choose from {', '.join(PRESET_WEIGHTS)}")
+    return ProbabilityVector.proportional_to(PRESET_WEIGHTS[name])
 
 
 @dataclass(frozen=True)
@@ -119,7 +117,7 @@ class DistributionSpec:
 
     def quantile(self, q: float) -> float:
         """Inverse CDF at q in (0, 1)."""
-        if not 0.0 < q < 1.0:
+        if not (isinstance(q, numbers.Real) and 0.0 < q < 1.0):
             raise ValidationError("quantile argument must be strictly inside (0, 1)")
         if self.family == "normal":
             mu, sd = self.params
@@ -138,22 +136,23 @@ class DistributionSpec:
         return f"{self.family}:" + ",".join(repr(v) for v in self.params)
 
 
-def _level(alpha: float, q: float) -> float:
-    """q, once alpha lies in (0, 1) and q has not rounded to 1 (infinite critical value)."""
-    if not (0.0 < alpha < 1.0 and q < 1.0):
+def _level(alpha: float, tails: int) -> float:
+    """q = 1 - alpha / tails, once alpha is a real number in (0, 1) and q
+    has not rounded to 1 (infinite critical value)."""
+    if not (isinstance(alpha, numbers.Real) and 0.0 < alpha < 1.0 and 1.0 - alpha / tails < 1.0):
         raise ValidationError(f"alpha must be in (0, 1), with finite critical values: {alpha!r}")
-    return q
+    return 1.0 - alpha / tails
 
 
 def normal_critical(alpha: float) -> float:
     """Two-sided standard normal critical value at level alpha."""
-    q = _level(alpha, 1.0 - alpha / 2.0)
+    q = _level(alpha, 2)
     return NORMAL_CRITICAL_975 if alpha == 0.05 else statistics.NormalDist().inv_cdf(q)
 
 
 def chi_square_critical(df: int, alpha: float) -> float:
     """Upper chi-square critical value; embedded constants at alpha 0.05."""
-    q = _level(alpha, 1.0 - alpha)
+    q = _level(alpha, 1)
     df = _integer(df, "degrees of freedom", 1)
     if alpha == 0.05 and df in CHI_SQUARE_CRITICAL_95:
         return CHI_SQUARE_CRITICAL_95[df]
@@ -226,7 +225,7 @@ class PowerSimConfig:
         for name, lo, limit in (("n", 1, BLOCK_DRAWS), ("reps", 1, MAX_REPS),
                                 ("master_seed", 0, 2 ** 64 - 1)):  # a Philox key word
             object.__setattr__(self, name, _integer(getattr(self, name), name, lo, limit))
-        _level(self.alpha, 1.0 - self.alpha / 2.0)  # both critical values are finite
+        _level(self.alpha, 2)  # both critical values are finite
         if not math.isfinite(self.n / min(self.basis.p.p.tolist())):  # n / min p bounds X2
             raise ValidationError(_OVERFLOW_MESSAGE)
 

@@ -10,7 +10,7 @@ from latinhadamard import (SignedLatinSquare, ValidationError, ZeroDivisorPair,
                            find_zero_divisors, is_latin_hadamard, num_free_choices,
                            table_from_signed_square)
 from latinhadamard.errors import SizeError
-from latinhadamard.latin import LatinSquare, quad_sign_products
+from latinhadamard.latin import LatinSquare, _decide
 
 from coloring_oracle import propagate_signs
 from gram_oracle import (gram_is_latin_hadamard, gram_pairs_orthogonal, pair_coefficients,
@@ -142,12 +142,12 @@ def test_flipped_choices_keep_every_quad_product(w):
         rng = np.random.default_rng(20261021 + w)
         flips += [tuple(rng.choice((-1, 1), size=b).tolist()) for _ in range(8)]
     plus = (1,) * b
-    product = quad_sign_products(square.entries, propagate_signs(square, plus))[2]
+    product = _decide(square, propagate_signs(square, plus))[3]
     shared = color(square, plus)._decision
     assert np.array_equal(shared[3], product)
     for choices in flips:
         G = propagate_signs(square, choices)
-        assert np.array_equal(quad_sign_products(square.entries, G)[2], product)
+        assert np.array_equal(_decide(square, G)[3], product)
         assert color(square, choices)._decision is shared
     if w <= 4:
         assert all(H._decision is shared for H in enumerate_colorings(square))
@@ -171,7 +171,7 @@ def test_enumerated_products_equal_single_and_lazy_products():
             G = H.signs
             i, j, k, l = quads.T
             assert np.array_equal(product, G[i, k] * G[i, l] * G[j, k] * G[j, l])
-            assert np.array_equal(product, quad_sign_products(square.entries, G)[2])
+            assert np.array_equal(product, _decide(square, G)[3])
             assert is_latin_hadamard(H) is verdict
             twin = SignedLatinSquare(H.signed_entries())
             assert twin._checks is None
@@ -208,10 +208,10 @@ def test_enumerated_verdicts_and_first_divisors_equal_lazy_and_oracles():
 
 def scan_checks(H):
     """(verdict, first zero divisor) by a plain-Python pass over the
-    output of quad_sign_products: the verdict holds when every corner
-    closes and every product is -1; the first divisor comes from the
-    first quad off the unit row and column with product +1."""
-    quads, open_corners, product = quad_sign_products(H.square.entries, H.signs)
+    quads, open corners and products of latin._decide: the verdict holds
+    when every corner closes and every product is -1; the first divisor
+    comes from the first quad off the unit row and column with product +1."""
+    quads, open_corners, _, product = _decide(H.square, H.signs)[:4]
     G = H.signs.tolist()
     rows = list(zip(quads.tolist(), product.tolist()))
     verdict = not len(open_corners) and all(p == -1 for _, p in rows)
@@ -223,8 +223,8 @@ def scan_checks(H):
 @pytest.mark.parametrize("seed", (None, 20261020))
 @pytest.mark.parametrize("w", (6, 7))
 def test_large_square_decision_equals_plain_scan(w, seed):
-    # 64,512 quads at n = 64 and 520,192 at n = 128, both beyond int16:
-    # the first-hit index and its no-hit value q take the frame's dtype
+    # 64,512 quads at n = 64 and 520,192 at n = 128, both beyond int16,
+    # so a first-hit index or its no-hit value q narrowed anywhere shows
     b = num_free_choices(w)
     choices = ((1,) * b if seed is None
                else tuple(np.random.default_rng(seed).choice((-1, 1), size=b).tolist()))
@@ -232,9 +232,7 @@ def test_large_square_decision_equals_plain_scan(w, seed):
     verdict, first = scan_checks(H)
     assert is_latin_hadamard(H) is verdict
     assert next(find_zero_divisors(table_from_signed_square(H)), None) == first
-    quads, _, unit_free = H._checks[:3]
-    assert len(quads) > np.iinfo(np.int16).max
-    assert np.iinfo(unit_free.dtype).max >= len(quads)
+    assert len(H._checks[0]) > np.iinfo(np.int16).max
 
 
 def test_survivor_sets_match_reference_lists():

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from latinhadamard import (InternalConsistencyError, SignedLatinSquare, SizeError,
-                           ValidationError, construct_latin_square, enumerate_abba_quads,
-                           quad_sign_products, sylvester_hadamard)
+                           ValidationError, color, construct_latin_square, enumerate_abba_quads,
+                           num_free_choices, sylvester_hadamard)
 from latinhadamard import is_latin_hadamard, latin
-from latinhadamard.coloring import _decide
-from latinhadamard.latin import CornerQuad, LatinSquare
+from latinhadamard.latin import CornerQuad, LatinSquare, _decide
 
 from reference_tables import LATIN_SQUARE_16
 
@@ -105,7 +104,8 @@ def test_partner_closure(w):
     n = square.n
     # On the transpose, rows j1 < j2 and columns i1 < i2 of a closed quad
     # are the columns and rows of an AB-BA quad of the square.
-    quads, open_corners, _ = quad_sign_products(square.entries.T, np.ones((n, n)))
+    quads, open_corners = _decide(LatinSquare(square.entries.T),
+                                  np.ones((n, n), dtype=np.int64))[:2]
     assert len(open_corners) == 0
     keys = set(map(tuple, quads.tolist()))
     for i1 in range(1, n + 1):
@@ -185,7 +185,7 @@ def test_quad_kernel_matches_direct_evaluation(name):
     S = KERNEL_SQUARES[name]()
     n = S.shape[0]
     G = np.random.default_rng(n).choice((-1, 1), size=(n, n))
-    quads, open_corners, product = quad_sign_products(S, G)
+    quads, open_corners, _, product = _decide(LatinSquare(S), G)[:4]
     _assert_kernel_matches(S, G, quads, open_corners, product)
     if name.isdigit():
         # a structured square: every corner closes, n/2 quads per column pair
@@ -194,7 +194,8 @@ def test_quad_kernel_matches_direct_evaluation(name):
 
 
 def test_cyclic_square_has_open_corners():
-    quads, open_corners, _ = quad_sign_products(KERNEL_SQUARES["cyclic"](), np.ones((8, 8)))
+    quads, open_corners = _decide(LatinSquare(KERNEL_SQUARES["cyclic"]()),
+                                  np.ones((8, 8), dtype=np.int64))[:2]
     assert len(quads) and len(open_corners)
 
 
@@ -203,20 +204,12 @@ def test_quad_kernel_gives_each_sign_matrix_its_own_product():
     S = construct_latin_square(3).entries
     rng = np.random.default_rng(11)
     G1, G2 = (rng.choice((-1, 1), size=(8, 8)) for _ in range(2))
-    first = quad_sign_products(S, G1)
-    second = quad_sign_products(S, G2)
+    first = _decide(LatinSquare(S), G1)
+    second = _decide(LatinSquare(S), G2)
     assert first[0] is second[0]
-    assert not np.array_equal(first[2], second[2])
-    _assert_kernel_matches(S, G1, *first)
-    _assert_kernel_matches(S, G2, *second)
-
-
-@pytest.mark.parametrize("shape", [(5, 5), (2, 2), (3, 4, 4)])
-def test_quad_kernel_rejects_signs_of_another_shape(shape):
-    # a larger matrix would be read at the wrong cells, a smaller one
-    # fail inside the gather, and a stack give its first matrix's products
-    with pytest.raises(ValidationError, match=r"^signs must form a \(4, 4\) array"):
-        quad_sign_products(construct_latin_square(2).entries, np.ones(shape, dtype=np.int64))
+    assert not np.array_equal(first[3], second[3])
+    _assert_kernel_matches(S, G1, first[0], first[1], first[3])
+    _assert_kernel_matches(S, G2, second[0], second[1], second[3])
 
 
 @pytest.mark.parametrize("name", ["cyclic", "transposed"])
@@ -233,13 +226,13 @@ def test_decision_of_each_matrix_equals_a_scan(name):
         # its closed quads are disjoint 2 x 2 blocks, so flipping one free
         # corner of each +1 quad leaves every product -1: only the open
         # corners then make the verdict False
-        quads, _, product = quad_sign_products(square.entries, matrices[0])
+        quads, _, _, product = _decide(square, matrices[0])[:4]
         for (i, j, k, l), p in zip(quads.tolist(), product.tolist()):
             if p == 1:
                 r, c = next((r, c) for r, c in ((i, k), (i, l), (j, k), (j, l))
                             if r and c and r != c)
                 matrices[0, r, c] *= -1
-        assert (quad_sign_products(square.entries, matrices[0])[2] == -1).all()
+        assert (_decide(square, matrices[0])[3] == -1).all()
         assert _decide(square, matrices[0])[4] is False
     for G in matrices:
         quads, open_corners, _, _, verdict, first = _decide(square, G)
@@ -253,19 +246,28 @@ def test_decision_of_each_matrix_equals_a_scan(name):
 
 
 def test_quad_frame_is_read_only():
-    quads, open_corners, product = quad_sign_products(KERNEL_SQUARES["cyclic"](),
-                                                      np.ones((8, 8)))
-    with pytest.raises(ValueError):
-        quads[0, 1] = 0
-    with pytest.raises(ValueError):
-        open_corners[0, 1] = 0
-    product[0] = -1  # the sign gather is the caller's own array
+    # the frame is shared through its cache, and a square keeps its products
+    decision = _decide(LatinSquare(KERNEL_SQUARES["cyclic"]()), np.ones((8, 8), dtype=np.int64))
+    for arr in decision[:4]:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
 
 
 def test_quad_kernel_size_guard():
-    # rejected before anything n**3 is allocated
-    with pytest.raises(SizeError):
-        quad_sign_products(np.ones((256, 256), dtype=np.int64), np.ones((256, 256)))
+    # both readers of the frame are refused at n = 256 before anything of
+    # order n**3 (16 MiB at one byte per entry) is allocated
+    square = construct_latin_square(8)
+    H = color(square, (1,) * num_free_choices(8))
+    for first_read in (lambda: next(enumerate_abba_quads(square)),
+                       lambda: is_latin_hadamard(H)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError, match="limited to n <= 128, got n=256"):
+                first_read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
 
 @pytest.mark.parametrize("build", (construct_latin_square, sylvester_hadamard))
@@ -325,13 +327,14 @@ def test_one_by_one_square(build):
 
 
 def test_quad_kernel_memory_at_the_size_limit():
-    # A first call at n = 128 builds the frame one row at a time and
+    # A first decision at n = 128 builds the frame one row at a time and
     # holds the closed quads, their gather index and one product each.
     S = construct_latin_square(7).entries + 0  # new symbols: a frame not cached yet
     S[[0, 1]] = S[[1, 0]]
+    square, signs = LatinSquare(S), np.ones((128, 128), dtype=np.int64)
     tracemalloc.start()
     try:
-        quads, open_corners, product = quad_sign_products(S, np.ones((128, 128)))
+        quads, open_corners = _decide(square, signs)[:2]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -356,6 +359,16 @@ def test_quad_enumeration_matches_brute_force(w):
         S = square.entries
         assert S[q.i1 - 1, q.j1 - 1] == S[q.i2 - 1, q.j2 - 1] == q.a
         assert S[q.i1 - 1, q.j2 - 1] == S[q.i2 - 1, q.j1 - 1] == q.b
+
+
+def test_quad_enumeration_of_a_square_that_is_not_symmetric():
+    # rows and columns play different parts in a CornerQuad, which only
+    # a square unequal to its transpose can tell apart
+    S = _rolled_square_8()
+    quads = list(enumerate_abba_quads(LatinSquare(S)))
+    assert {(q.i1, q.i2, q.j1, q.j2) for q in quads} == set(brute_force_quads(S))
+    assert all(S[q.i1 - 1, q.j1 - 1] == S[q.i2 - 1, q.j2 - 1] == q.a
+               and S[q.i1 - 1, q.j2 - 1] == S[q.i2 - 1, q.j1 - 1] == q.b for q in quads)
 
 
 @pytest.mark.parametrize("w", range(8))

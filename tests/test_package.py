@@ -39,8 +39,8 @@ PUBLIC_NAMES = [
     "decompose", "design_to_eigenbasis", "eigen_interlacing_check",
     "eigenbasis_from_latin_hadamard", "eigenbasis_from_sign_matrix", "enumerate_abba_quads",
     "enumerate_colorings", "find_zero_divisors", "is_latin_hadamard", "matched_normal_null",
-    "normal_critical", "num_free_choices", "preset_probability", "quad_sign_products",
-    "radon", "sigma", "sigma_star", "simulate_power", "sylvester_hadamard",
+    "normal_critical", "num_free_choices", "preset_probability", "radon",
+    "sigma", "sigma_star", "simulate_power", "sylvester_hadamard",
     "table_from_signed_square", "verify_design",
 ]
 
@@ -52,9 +52,10 @@ def test_public_names_are_pinned():
 
 
 def test_quad_frame_stays_behind_latin_and_coloring():
-    # the frame's unit-free quads feed one rule, coloring._decide; a
-    # module that reaches the frame could decide checks a second way
+    # the frame feeds one rule, latin._decide, which coloring reads through
+    # SignedLatinSquare; a module that reaches the frame could decide
+    # checks a second way
     sources = {module: inspect.getsource(importlib.import_module(f"latinhadamard.{module}"))
                for module in MODULES + ("cli",)}
     readers = [module for module, source in sources.items() if "_quad_frame" in source]
-    assert readers == ["coloring", "latin"]
+    assert readers == ["latin"]

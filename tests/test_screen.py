@@ -21,9 +21,10 @@ import pytest
 from latinhadamard import (DistributionSpec, Eigenbasis, OrthogonalDesign, PowerSimConfig,
                            ProbabilityVector, SignedLatinSquare, SizeError, ValidationError,
                            builtin_design_16, canonical_signed_square_8, cayley_dickson_table,
-                           chi_square_critical, color, construct_latin_square,
-                           design_to_eigenbasis, eigenbasis_from_latin_hadamard,
-                           eigenbasis_from_sign_matrix, num_free_choices, radon,
+                           chi_square_critical, choices_from_bitstring, color,
+                           construct_latin_square, design_to_eigenbasis,
+                           eigenbasis_from_latin_hadamard, eigenbasis_from_sign_matrix,
+                           normal_critical, num_free_choices, preset_probability, radon,
                            simulate_power, sylvester_hadamard)
 from latinhadamard import cli, power
 from latinhadamard.latin import SQUARE_MAX_W, LatinSquare, _integer
@@ -159,6 +160,35 @@ def test_integer_screen_rejects_without_warnings(call, value, error):
                                       for argument, call, lo, _ in INTEGERS])
 def test_integer_screen_accepts_numpy_integers(call, lo):
     call(np.int64(lo))
+
+
+# (argument, call, a value of the wrong type, a valid numpy or Python
+# value): the other scalar arguments, each checked before the arithmetic
+# or the lookup that would raise TypeError on it.
+SCALARS = [
+    ("normal_critical", normal_critical, None, np.float64(0.05)),
+    ("chi_square_critical-alpha", lambda alpha: chi_square_critical(3, alpha), "0.05",
+     np.float64(0.01)),
+    ("PowerSimConfig-alpha", lambda alpha: _config(alpha=alpha), "0.05", np.float32(0.05)),
+    ("quantile", DistributionSpec("normal", (0, 1)).quantile, "0.5", np.float64(0.5)),
+    ("choices_from_bitstring", choices_from_bitstring, None, "01"),
+    ("preset_probability", preset_probability, {}, "b"),
+]
+
+
+@pytest.mark.parametrize("call, bad", [pytest.param(call, bad, id=argument)
+                                       for argument, call, bad, _ in SCALARS])
+def test_scalar_of_the_wrong_type_is_a_validation_error(call, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError):
+            call(bad)
+
+
+@pytest.mark.parametrize("call, good", [pytest.param(call, good, id=argument)
+                                        for argument, call, _, good in SCALARS])
+def test_scalar_screen_accepts_numpy_floats(call, good):
+    call(good)
 
 
 def test_integer_screen_returns_a_python_int():
