@@ -116,14 +116,18 @@ def find_zero_divisors(table: AlgebraTable):
     # The first hit is converted with Python scalars, so a caller that
     # reads one zero divisor does not pay for converting them all.
     a, b, c, d = quads[first].tolist()
-    sign = int(G[b, c] * G[a, d])
+    sign = G.item(b, c) * G.item(a, d)
     yield ZeroDivisorPair(a + 1, b + 1, 1, c + 1, d + 1, -sign)
     yield ZeroDivisorPair(a + 1, b + 1, -1, c + 1, d + 1, sign)
     rest = quads[unit_free[product[unit_free] == 1][1:]]
     i, j, k, l = rest.T
-    for (a, b, c, d), sign in zip(rest.tolist(), (G[j, k] * G[i, l]).tolist()):
-        for s1 in (1, -1):
-            yield ZeroDivisorPair(a + 1, b + 1, s1, c + 1, d + 1, -s1 * sign)
+    # One row (i + 1, j + 1, s1, k + 1, l + 1, s2) per quad and s1 = +1, -1.
+    pairs = np.empty((len(rest), 2, 6), dtype=np.int64)
+    pairs[:, :, [0, 1, 3, 4]] = rest[:, None] + 1
+    pairs[:, :, 2] = (1, -1)
+    pairs[:, 1, 5] = G[j, k] * G[i, l]
+    pairs[:, 0, 5] = -pairs[:, 1, 5]
+    yield from map(ZeroDivisorPair._make, pairs.reshape(-1, 6).tolist())
 
 
 def radon(n: int) -> int:

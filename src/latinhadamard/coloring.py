@@ -17,12 +17,13 @@ is bit-exact.
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
 from .errors import SizeError, ValidationError
-from .latin import (SQUARE_MAX_W, LatinSquare, _decide, _integer, _screen, _square_order,
-                    construct_latin_square)
+from .latin import (SQUARE_MAX_W, LatinSquare, _decide, _integer, _quad_order, _screen,
+                    _square_order, construct_latin_square)
 
 __all__ = [
     "SignedLatinSquare", "num_free_choices",
@@ -134,10 +135,13 @@ def _coloring_decision(w: int):
     as a product of choices and earlier signs, so each quad product is an
     affine GF(2) function of the choice bits, and no single flip of the
     all-plus coloring changes one.  Made on first use, so a square above
-    the quad kernel's limit raises SizeError only then.
+    the quad kernel's limit raises SizeError only then, before any sign
+    is doubled.
     """
+    square = construct_latin_square(w)
+    _quad_order(square.n)
     signs = _double_signs(w, np.ones((1, num_free_choices(w) + 1), dtype=np.int64))[0]
-    return _decide(construct_latin_square(w), signs)
+    return _decide(square, signs)
 
 
 def num_free_choices(w: int) -> int:
@@ -192,7 +196,10 @@ def _double_signs(w: int, choices: np.ndarray) -> np.ndarray:
     and the lower-right block closes the quads against both
     (-G * U * L).  The first level has no choices and always gives
     [[1, 1], [1, -1]].  Exact integer arithmetic; each sign is written
-    once.
+    once.  Each sign is therefore +/- a product of distinct choices, so
+    negating choice t multiplies a coloring's signs by one fixed +/-1
+    pattern whatever the other choices are (see
+    :func:`enumerate_colorings`).
     """
     m, n = choices.shape[0], 2 ** w
     G = np.empty((m, n, n), dtype=np.int64)
@@ -234,11 +241,16 @@ def enumerate_colorings(square: LatinSquare):
 
     Candidate index c maps to the bitstring format(c, '0{b}b') with
     '0' = '+' and '1' = '-', leftmost bit consumed first, so candidate
-    order is reproducible.  The signs of all candidates (at most 2**11,
-    at w = EXHAUSTIVE_MAX_W) are doubled at once and checked once, and
-    each coloring's signs are a read-only view into the block.  Every
-    candidate reads the one decision its w shares, so their verdicts are
-    all True or all False.
+    order is reproducible.  Only b + 1 colorings are doubled: the
+    all-plus one, G0, and each Gt with choice t alone negated.  Every
+    sign is +/- a product of distinct choices (:func:`_double_signs`),
+    so negating choice t multiplies any coloring's signs by
+    flip_t = Gt * G0, and candidate c is G0 times the flips of its '1'
+    bits.  The block of all candidates (at most 2**11, at
+    w = EXHAUSTIVE_MAX_W) is expanded from G0 by one exact product per
+    choice, last choice first, and checked once; each coloring's signs
+    are a read-only view into it.  Every candidate reads the one
+    decision its w shares, so their verdicts are all True or all False.
     """
     if square.w > EXHAUSTIVE_MAX_W:
         raise SizeError(
@@ -247,11 +259,20 @@ def enumerate_colorings(square: LatinSquare):
     if square != construct_latin_square(square.w):
         raise ValidationError("colorings are defined on the structured square only")
     b = num_free_choices(square.w)
-    # Bit b of an index below 2**b is 0: the leading 1 of each row.
-    choices = 1 - 2 * ((np.arange(2 ** b)[:, None] >> np.arange(b, -1, -1)) & 1)
-    signs = _double_signs(square.w, choices)
+    # Row 0 is (1, all-plus choices); row t negates choice t alone.
+    rows = 1 - 2 * np.eye(b + 1, dtype=np.int64)
+    rows[0, 0] = 1
+    G = _double_signs(square.w, rows)
+    signs = np.empty((2 ** b,) + G.shape[1:], dtype=np.int64)
+    signs[0] = G[0]
+    size = 1
+    # Choice t is bit b - t of the candidate index: the last choice
+    # doubles the block first.
+    for flip in (G[1:] * G[0])[::-1]:
+        np.multiply(signs[:size], flip, out=signs[size:2 * size])
+        size *= 2
     yield from SignedLatinSquare._checked_block(
-        square, signs, list(map(tuple, choices[:, 1:].tolist())))
+        square, signs, list(itertools.product((1, -1), repeat=b)))
 
 
 def is_latin_hadamard(H: SignedLatinSquare) -> bool:

@@ -156,6 +156,14 @@ def construct_latin_square(w: int) -> LatinSquare:
     return LatinSquare(block)
 
 
+def _quad_order(n: int) -> None:
+    """The quad kernel's size guard: SizeError for n above QUAD_MAX_N.
+    The frame checks it first; a caller may check it before it pays for
+    anything the frame would then refuse."""
+    if n > QUAD_MAX_N:
+        raise SizeError(f"the AB-BA quad kernel is limited to n <= {QUAD_MAX_N}, got n={n}")
+
+
 @functools.lru_cache(maxsize=4)
 def _quad_frame(symbol_bytes: bytes, n: int):
     """Symbol-only part of the quad kernel for one n x n Latin square.
@@ -178,8 +186,7 @@ def _quad_frame(symbol_bytes: bytes, n: int):
     so no n x n x n array is formed, and cached on the symbols, so
     squares that share their symbols share one frame.
     """
-    if n > QUAD_MAX_N:
-        raise SizeError(f"the AB-BA quad kernel is limited to n <= {QUAD_MAX_N}, got n={n}")
+    _quad_order(n)
     S = np.frombuffer(symbol_bytes, dtype=np.int64).reshape(n, n)
     rows = np.arange(n)
     position = np.empty((n, n + 1), dtype=np.int64)
@@ -240,5 +247,7 @@ def enumerate_abba_quads(square: LatinSquare):
     if len(open_corners):
         raise InternalConsistencyError(
             "AB-BA partner missing; the square does not have the corner property")
-    for j1, j2, i1, i2 in quads.tolist():
-        yield CornerQuad(i1 + 1, j1 + 1, i2 + 1, j2 + 1, int(S[i1, j1]), int(S[i1, j2]))
+    j1, j2, i1, i2 = quads.T
+    # Unnamed, so the int64 rows are freed once they are Python lists.
+    yield from map(CornerQuad._make, np.stack(
+        (i1 + 1, j1 + 1, i2 + 1, j2 + 1, S[i1, j1], S[i1, j2]), axis=1).tolist())

@@ -13,6 +13,7 @@ from latinhadamard.algebra import AlgebraTable, ZeroDivisorPair
 
 from cayley_dickson_oracle import doubling_table
 from product_oracle import basis_products, brute_force_zero_divisors, multiply
+from quad_loop_oracle import loop_zero_divisors
 from reference_tables import QUATERNION_TABLE, SIGNED_SQUARE_8
 
 
@@ -135,6 +136,47 @@ def test_first_zero_divisor_is_the_first_of_the_list():
         assert first == (listed[0] if listed else None)
         assert first is None or type(first.s2) is int
     assert next(find_zero_divisors(cayley_dickson_table(3)), None) is None
+
+
+def test_batch_zero_divisors_equal_the_per_quad_loop():
+    # the later hits are converted as one array; the per-quad loop they
+    # replaced must give the same pairs, in order, with Python-int fields
+    tables = [cayley_dickson_table(m) for m in range(1, 6)]  # dims 2..32
+    candidates = list(enumerate_colorings(construct_latin_square(4)))
+    picks = np.random.default_rng(20261021).choice(len(candidates), size=64, replace=False)
+    colored = [table_from_signed_square(candidates[c]) for c in picks.tolist()]
+    for table in tables + colored:
+        listed = list(find_zero_divisors(table))
+        assert listed == list(loop_zero_divisors(table))
+        assert all(type(z) is ZeroDivisorPair and all(type(v) is int for v in z)
+                   for z in listed)
+    assert len(list(find_zero_divisors(tables[-1]))) == 5040
+    # the s2 signs are each coloring's own, so the seeded lists differ
+    assert len({tuple(find_zero_divisors(table)) for table in colored}) > 1
+
+
+class _CountedReads(np.ndarray):
+    reads = 0
+
+    def __getitem__(self, key):
+        type(self).reads += 1
+        return super().__getitem__(key)
+
+
+def test_two_zero_divisors_do_not_gather_the_rest(monkeypatch):
+    # the first quad's pair is read off the kept first hit; only a third
+    # read selects the later hits from the kept products
+    table = table_from_signed_square(
+        SignedLatinSquare(cayley_dickson_table(5)._signed.signed_entries()))
+    checks = table._signed._decision
+    monkeypatch.setattr(_CountedReads, "reads", 0)
+    table._signed._checks = checks[:3] + (checks[3].view(_CountedReads),) + checks[4:]
+    divisors = find_zero_divisors(table)
+    first_two = [next(divisors), next(divisors)]
+    assert _CountedReads.reads == 0
+    third = next(divisors)
+    assert _CountedReads.reads > 0
+    assert first_two + [third] == list(loop_zero_divisors(cayley_dickson_table(5)))[:3]
 
 
 def test_table_from_quaternion_like_coloring():

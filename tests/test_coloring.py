@@ -9,6 +9,7 @@ from latinhadamard import (SignedLatinSquare, ValidationError, ZeroDivisorPair,
                            coloring, construct_latin_square, enumerate_colorings,
                            find_zero_divisors, is_latin_hadamard, num_free_choices,
                            table_from_signed_square)
+from latinhadamard.coloring import EXHAUSTIVE_MAX_W
 from latinhadamard.errors import SizeError
 from latinhadamard.latin import LatinSquare, _decide
 
@@ -127,6 +128,31 @@ def test_orthogonality_check_size_guard():
     with pytest.raises(SizeError):
         is_latin_hadamard(H)
     assert H._checks is None
+
+
+def _count_doubled_rows(monkeypatch) -> list:
+    """Spy on coloring._double_signs: the number of rows of each call."""
+    double, rows = coloring._double_signs, []
+
+    def counted(w, choices):
+        rows.append(len(choices))
+        return double(w, choices)
+
+    monkeypatch.setattr(coloring, "_double_signs", counted)
+    return rows
+
+
+def test_coloring_decision_is_refused_before_any_doubling(monkeypatch):
+    # n = 256 is above the quad kernel's limit: the shared decision of a
+    # w = 8 coloring raises SizeError without doubling the 65,536 signs
+    # of the all-plus coloring first
+    coloring._coloring_decision.cache_clear()
+    rows = _count_doubled_rows(monkeypatch)
+    H = color(construct_latin_square(8), (1,) * num_free_choices(8))
+    assert rows == [1]
+    with pytest.raises(SizeError, match="limited to n <= 128, got n=256"):
+        is_latin_hadamard(H)
+    assert rows == [1]
 
 
 @pytest.mark.parametrize("w", (1, 2, 3, 4, 5, 6))
@@ -422,6 +448,25 @@ def test_enumerated_signs_cannot_be_made_writable():
             H.signs.setflags(write=True)
         with pytest.raises(ValueError):
             H.signs[1, 1] = 1
+
+
+@pytest.mark.parametrize("w", range(EXHAUSTIVE_MAX_W + 1))
+def test_expanded_block_equals_doubling_every_candidate(w, monkeypatch):
+    # the block is expanded from the all-plus coloring and one flip per
+    # choice; doubling all 2**b rows of choices must give it bit for bit,
+    # and the enumeration itself never doubles more than b + 1 rows
+    b = num_free_choices(w)
+    double = coloring._double_signs
+    rows = _count_doubled_rows(monkeypatch)
+    candidates = list(enumerate_colorings(construct_latin_square(w)))
+    assert rows and max(rows) <= b + 1
+    every = [choices_from_bitstring(format(c, f"0{b}b") if b else "") for c in range(2 ** b)]
+    assert [H.choices for H in candidates] == every
+    expected = double(w, np.array([(1, *choices) for choices in every], dtype=np.int64))
+    for H, signs in zip(candidates, expected, strict=True):
+        assert H.signs.dtype == signs.dtype == np.int64
+        assert not H.signs.flags.writeable
+        assert np.array_equal(H.signs, signs)
 
 
 def test_enumeration_checks_each_block(monkeypatch):

@@ -9,6 +9,7 @@ from latinhadamard import (InternalConsistencyError, SignedLatinSquare, SizeErro
 from latinhadamard import is_latin_hadamard, latin
 from latinhadamard.latin import CornerQuad, LatinSquare, _decide
 
+from quad_loop_oracle import loop_abba_quads
 from reference_tables import LATIN_SQUARE_16
 
 
@@ -369,6 +370,22 @@ def test_quad_enumeration_of_a_square_that_is_not_symmetric():
     assert {(q.i1, q.i2, q.j1, q.j2) for q in quads} == set(brute_force_quads(S))
     assert all(S[q.i1 - 1, q.j1 - 1] == S[q.i2 - 1, q.j2 - 1] == q.a
                and S[q.i1 - 1, q.j2 - 1] == S[q.i2 - 1, q.j1 - 1] == q.b for q in quads)
+
+
+def test_batch_quads_equal_the_per_quad_loop():
+    # all quads are converted as one array; the per-quad loop it replaced
+    # must give the same quads, in order, with Python-int fields
+    squares = [construct_latin_square(w) for w in range(1, 6)]
+    squares.append(LatinSquare(_rolled_square_8()))
+    for square in squares:
+        quads, expected = list(enumerate_abba_quads(square)), list(loop_abba_quads(square))
+        assert quads == expected
+        assert all(type(q) is CornerQuad and all(type(v) is int for v in q) for q in quads)
+    # a square without the corner property is refused on the first read
+    cyclic = LatinSquare(KERNEL_SQUARES["cyclic"]())
+    for quads in (enumerate_abba_quads(cyclic), loop_abba_quads(cyclic)):
+        with pytest.raises(InternalConsistencyError, match="AB-BA partner missing"):
+            next(quads)
 
 
 @pytest.mark.parametrize("w", range(8))
