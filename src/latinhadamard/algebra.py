@@ -104,22 +104,22 @@ def find_zero_divisors(table: AlgebraTable):
     a zero divisor can take; at dimension 32 the scan still only covers
     this form.
 
-    The first quad with product +1 is the one the table's signed square
-    keeps, decided with its verdict (see ``is_latin_hadamard``).  The
-    quads after it are gathered only when a caller reads past the first
-    two items.
+    The quads with product +1 are the hits the table's signed square
+    keeps, decided with its verdict (see ``is_latin_hadamard``); each
+    gives two pairs.  The hits after the first are gathered only when a
+    caller reads past the first two items.
     """
     G = table.signs
-    quads, _, unit_free, product, _, first = table._signed._decision
-    if first == len(quads):
+    quads, *_, hits = table._signed._decision
+    if not len(hits):
         return
     # The first hit is converted with Python scalars, so a caller that
     # reads one zero divisor does not pay for converting them all.
-    a, b, c, d = quads[first].tolist()
+    a, b, c, d = quads[hits.item(0)].tolist()
     sign = G.item(b, c) * G.item(a, d)
     yield ZeroDivisorPair(a + 1, b + 1, 1, c + 1, d + 1, -sign)
     yield ZeroDivisorPair(a + 1, b + 1, -1, c + 1, d + 1, sign)
-    rest = quads[unit_free[product[unit_free] == 1][1:]]
+    rest = quads[hits[1:]]
     i, j, k, l = rest.T
     # One row (i + 1, j + 1, s1, k + 1, l + 1, s2) per quad and s1 = +1, -1.
     pairs = np.empty((len(rest), 2, 6), dtype=np.int64)

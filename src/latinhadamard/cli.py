@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import re
 import sys
 
@@ -227,11 +226,6 @@ def _cmd_decompose(args) -> str:
 
 
 def _cmd_power(args) -> str:
-    try:
-        args.seed = int(os.environ.get("LH_SEED", args.seed))
-    except ValueError:
-        raise ValidationError(
-            f"LH_SEED must be an integer, got {os.environ['LH_SEED']!r}") from None
     if not (args.preset or args.p):
         raise ValidationError("power needs --preset or --p")
     if args.preset and args.p:
@@ -329,8 +323,7 @@ def _build_parser() -> _Parser:
     pw.add_argument("--alpha", type=float, default=0.05)
     pw.add_argument("--matrix", default=None,
                     help="matrix file or builtin:<index> (default: canonical)")
-    pw.add_argument("--seed", type=int, default=0,
-                    help="master seed (LH_SEED env var overrides)")
+    pw.add_argument("--seed", type=int, default=0, help="master seed")
     pw.add_argument("--threads", type=int, default=1,
                     help="worker processes, at most one per usable CPU")
     pw.set_defaults(func=_cmd_power)

@@ -32,8 +32,6 @@ __all__ = [
 ]
 
 EXHAUSTIVE_MAX_W = 4
-# Signs of the 2 x 2 square, the first doubling, which has no choices.
-_FIRST_LEVEL = np.array([[1, 1], [1, -1]], dtype=np.int64)
 
 
 def _check_signs(sgn: np.ndarray) -> None:
@@ -54,14 +52,16 @@ class SignedLatinSquare:
     It is built from its signed entries H[i,j] = signs[i,j] * S[i,j]:
     |H| is the underlying square and sign(H) the signs.  First row and
     first column are positive and the diagonal below row one is negative,
-    as produced by the coloring procedure.  ``choices`` is None unless the
-    square came from :func:`color` or :func:`enumerate_colorings`.
+    as produced by the coloring procedure, and checked when the square
+    is built from entries.  ``choices`` is None unless the square came
+    from :func:`color` or :func:`enumerate_colorings`, whose signs were
+    checked where they were doubled.
 
     Its checks are decided once, by :func:`latin._decide`, and kept: the
-    quad products, the Latin-Hadamard verdict and the index of the first
-    unit-free quad with product +1.  All colorings of one w share one
-    decision (:func:`_coloring_decision`); any other square decides from
-    its own signs.  Both are made on first use.
+    quad products, the Latin-Hadamard verdict and the hits, the unit-free
+    quads with product +1.  All colorings of one w share one decision
+    (:func:`_coloring_decision`); any other square decides from its own
+    signs.  Both are made on first use.
     """
 
     __slots__ = ("square", "signs", "choices", "_checks")
@@ -77,12 +77,11 @@ class SignedLatinSquare:
 
     @classmethod
     def _checked_block(cls, square: LatinSquare, signs: np.ndarray, choices):
-        """One signed square per (signs[c], choices[c]), signs checked once.
+        """One signed square per (signs[c], choices[c]), taken as given.
 
-        signs is an (m, n, n) int64 block; the squares share its memory
-        read-only and take the choice tuples as given.
+        signs is an (m, n, n) int64 block whose signs the caller checked
+        where it doubled them; the squares share its memory read-only.
         """
-        _check_signs(signs)
         signs.setflags(write=False)
         out = []
         for sgn, chosen in zip(signs, choices):
@@ -140,8 +139,9 @@ def _coloring_decision(w: int):
     """
     square = construct_latin_square(w)
     _quad_order(square.n)
-    signs = _double_signs(w, np.ones((1, num_free_choices(w) + 1), dtype=np.int64))[0]
-    return _decide(square, signs)
+    signs = _double_signs(w, np.ones((1, num_free_choices(w) + 1), dtype=np.int64))
+    _check_signs(signs)
+    return _decide(square, signs[0])
 
 
 def num_free_choices(w: int) -> int:
@@ -163,22 +163,22 @@ def choices_to_bitstring(choices) -> str:
 
 @functools.lru_cache(maxsize=8)
 def _doubling_plan(w: int):
-    """Gather indices of the sign doubling levels h = 2, 4, ..., 2**(w-1).
+    """Gather indices of the sign doubling levels h = 1, 2, ..., 2**(w-1).
 
     Per level: sel picks v = (1, the level's h - 1 choices) from a row
-    (1, choices...), sel[x] picks v[x] for x = S[:h, :h] - 1, and
+    (1, choices...), sel[x] picks v[x] for x = a XOR j (a, j < h), and
     x * n + j is the flat index of G[x, j] in an n x n sign matrix.
     """
-    S = construct_latin_square(w).entries
-    n = S.shape[0]
+    n = 2 ** w
     plan = []
     pos = 1
-    for level in range(1, w):
+    for level in range(w):
         h = 2 ** level
         sel = np.concatenate(([0], np.arange(pos, pos + h - 1)))
         pos += h - 1
-        x = S[:h, :h] - 1
-        plan.append((h, sel, sel[x], x * n + np.arange(h)))
+        r = np.arange(h)
+        x = r[:, None] ^ r
+        plan.append((h, sel, sel[x], x * n + r))
     return plan
 
 
@@ -187,24 +187,23 @@ def _double_signs(w: int, choices: np.ndarray) -> np.ndarray:
 
     choices is an (m, 1 + b) int64 array, one row (1, choices...) per
     coloring with its b free +/-1 choices; returns the (m, n, n) int64
-    signs.  The level that doubles h to 2h consumes the next h - 1
-    choices as v = (1, choices...), the new block column above the
-    diagonal (v[i] = G[i, h]).  Row h + a of the lower-left block
-    closes each AB-BA quad through column h against its partner row
-    x = S[a, j] - 1, giving L[a, j] = v[a] * v[x] * G[x, j]; the
-    upper-right block is antisymmetric to it (U = -L^T, first row +1)
-    and the lower-right block closes the quads against both
-    (-G * U * L).  The first level has no choices and always gives
-    [[1, 1], [1, -1]].  Exact integer arithmetic; each sign is written
-    once.  Each sign is therefore +/- a product of distinct choices, so
-    negating choice t multiplies a coloring's signs by one fixed +/-1
-    pattern whatever the other choices are (see
-    :func:`enumerate_colorings`).
+    signs, unchecked.  From G = [[1]], the level that doubles h to 2h
+    consumes the next h - 1 choices as v = (1, choices...), the new
+    block column above the diagonal (v[i] = G[i, h]); the level h = 1
+    consumes none.  Row h + a of the lower-left block closes each AB-BA
+    quad through column h against its partner row x = a XOR j, giving
+    L[a, j] = v[a] * v[x] * G[x, j]; the upper-right block is
+    antisymmetric to it (U = -L^T, first row +1) and the lower-right
+    block closes the quads against both (-G * U * L).  Exact integer
+    arithmetic; each sign is written once.  Each sign is therefore +/- a
+    product of distinct choices, so negating choice t multiplies a
+    coloring's signs by one fixed +/-1 pattern whatever the other
+    choices are (see :func:`enumerate_colorings`).
     """
     m, n = choices.shape[0], 2 ** w
     G = np.empty((m, n, n), dtype=np.int64)
     flat = G.reshape(m, n * n)
-    G[:, :2, :2] = _FIRST_LEVEL[:n, :n]
+    G[:, 0, 0] = 1
     for h, sel, sel_x, flat_x in _doubling_plan(w):
         L = choices[:, sel, None] * choices[:, sel_x]
         L *= flat[:, flat_x]
@@ -222,9 +221,9 @@ def color(square: LatinSquare, choices) -> SignedLatinSquare:
     """Color the structured square from a vector of free +/-1 choices.
 
     The signs are built by block doubling from G = [[1]]
-    (:func:`_double_signs` with one row of choices).  Choices are
-    consumed level by level (doubling level 2 upward), then by
-    increasing row index within the level.
+    (:func:`_double_signs` with one row of choices), then checked.
+    Choices are consumed level by level (doubling level 2 upward), then
+    by increasing row index within the level.
     """
     w = square.w
     row = _screen(choices, "choices", -1, 1, (num_free_choices(w),))
@@ -233,6 +232,7 @@ def color(square: LatinSquare, choices) -> SignedLatinSquare:
     if square != construct_latin_square(w):
         raise ValidationError("colorings are defined on the structured square only")
     signs = _double_signs(w, np.concatenate(([1], row))[None])
+    _check_signs(signs)
     return SignedLatinSquare._checked_block(square, signs, [tuple(row.tolist())])[0]
 
 
@@ -246,11 +246,14 @@ def enumerate_colorings(square: LatinSquare):
     sign is +/- a product of distinct choices (:func:`_double_signs`),
     so negating choice t multiplies any coloring's signs by
     flip_t = Gt * G0, and candidate c is G0 times the flips of its '1'
-    bits.  The block of all candidates (at most 2**11, at
-    w = EXHAUSTIVE_MAX_W) is expanded from G0 by one exact product per
-    choice, last choice first, and checked once; each coloring's signs
-    are a read-only view into it.  Every candidate reads the one
-    decision its w shares, so their verdicts are all True or all False.
+    bits.  The b + 1 doubled rows are checked; the block of all
+    candidates (at most 2**11, at w = EXHAUSTIVE_MAX_W) is expanded from
+    G0 by one exact product per choice, last choice first, and each
+    coloring's signs are a read-only view into it.  The block needs no
+    check of its own: each flip is +/-1 and is +1 on the first row, the
+    first column and the diagonal, so every product keeps G0's checked
+    properties.  Every candidate reads the one decision its w shares, so
+    their verdicts are all True or all False.
     """
     if square.w > EXHAUSTIVE_MAX_W:
         raise SizeError(
@@ -263,6 +266,7 @@ def enumerate_colorings(square: LatinSquare):
     rows = 1 - 2 * np.eye(b + 1, dtype=np.int64)
     rows[0, 0] = 1
     G = _double_signs(square.w, rows)
+    _check_signs(G)
     signs = np.empty((2 ** b,) + G.shape[1:], dtype=np.int64)
     signs[0] = G[0]
     size = 1
@@ -284,6 +288,6 @@ def is_latin_hadamard(H: SignedLatinSquare) -> bool:
     a square matrix with H^T H = cI, c nonzero, also has H H^T = cI, so
     the rows are orthogonal too.  The verdict is the one the square
     keeps, reached by :func:`_decide` on first use together with its
-    first zero-divisor quad; every coloring of one w shares one.
+    zero-divisor hits; every coloring of one w shares one.
     """
-    return H._decision[4]
+    return H._decision[3]

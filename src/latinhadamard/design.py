@@ -85,7 +85,7 @@ def verify_design(design: OrthogonalDesign) -> bool:
     S = design.signed.square.entries
     G = design.signed.signs
     n, m = design.order, design.num_vars + 1
-    quads, open_corners, _, product, _, _ = design.signed._decision
+    quads, open_corners, product = design.signed._decision[:3]
     plus = quads[product == 1]
     i = np.concatenate((plus[:, 0], plus[:, 0], open_corners[:, 0]))
     j = np.concatenate((plus[:, 1], plus[:, 1], open_corners[:, 1]))

@@ -1,8 +1,9 @@
 """Structured power-of-two Latin squares with the AB-BA corner property.
 
-The square of dimension 2**w is built by block doubling: the upper-left
-half repeats in the lower-right, and the off-diagonal blocks are the
-upper-left block shifted by 2**(w-1).  Every row and column is a
+The square of dimension n = 2**w is the Cayley table of Z_2^w,
+S[i, j] = (i XOR j) + 1 for 0-based i, j: the upper-left half repeats
+in the lower-right, and the off-diagonal blocks are the upper-left
+block shifted by 2**(w-1).  Every row and column is a
 permutation of 1..n, the matrix is symmetric, and for any two entries
 a, b sitting in one row there is exactly one other row holding b, a in
 the same pair of columns (the AB-BA property).  That cancellation
@@ -140,20 +141,14 @@ class CornerQuad(NamedTuple):
 # would then get the cached square without reaching the screen.
 @functools.lru_cache(maxsize=8, typed=True)
 def construct_latin_square(w: int) -> LatinSquare:
-    """Build the canonical block-recursive Latin square of dimension 2**w.
+    """The structured Latin square of dimension 2**w, S[i, j] = (i XOR j) + 1.
 
-    Base case is the 1x1 matrix [[1]]; each doubling step places the
-    previous square on the diagonal blocks and its shift by 2**(w-1) on
-    the off-diagonal blocks.  Exponents above SQUARE_MAX_W raise
-    SizeError before anything is allocated.
+    Exponents above SQUARE_MAX_W raise SizeError before anything is
+    allocated.
     """
     w = _integer(w, "square exponent", 0, SQUARE_MAX_W)
-    block = np.array([[1]], dtype=np.int64)
-    for level in range(1, w + 1):
-        half = 2 ** (level - 1)
-        shifted = block + half
-        block = np.block([[block, shifted], [shifted, block]])
-    return LatinSquare(block)
+    r = np.arange(2 ** w)
+    return LatinSquare((r[:, None] ^ r) + 1)
 
 
 def _quad_order(n: int) -> None:
@@ -214,23 +209,23 @@ def _decide(square: LatinSquare, signs: np.ndarray):
 
     signs is the (n, n) int64 sign matrix of a SignedLatinSquare on the
     symbols of square, taken as given.  Returns (quads, open_corners,
-    unit_free, product, verdict, first_hit): the quad frame's three
-    read-only arrays; product[q] = G[i, k] G[i, l] G[j, k] G[j, l] for
-    quad q, exact and read-only; the Latin-Hadamard verdict as a bool
-    (every corner closes and every quad has product -1); and, as an int,
-    the index of the first unit-free quad with product +1, a zero
-    divisor (e_i +/- e_j)(e_k +/- e_l) of the table read from the
-    square, or the number of quads if there is none.
+    product, verdict, hits): the quad frame's two read-only arrays;
+    product[q] = G[i, k] G[i, l] G[j, k] G[j, l] for quad q, exact and
+    read-only; the Latin-Hadamard verdict as a bool (every corner closes
+    and every quad has product -1); and hits, the read-only int64 index
+    of the unit-free quads with product +1, in quad order: each is a
+    zero divisor (e_i +/- e_j)(e_k +/- e_l) of the table read from the
+    square.
     """
     quads, open_corners, gather, unit_free = _quad_frame(square.entries.tobytes(), square.n)
     product = signs.ravel()[gather].prod(axis=0)
-    product.setflags(write=False)
     # Each product is +/-1, so all are -1 exactly when the largest is;
     # initial=-1 covers n = 1, which has no quads.
     verdict = not len(open_corners) and bool(product.max(initial=-1) == -1)
-    hits = unit_free[product[unit_free] == 1]  # the hits find_zero_divisors lists
-    return (quads, open_corners, unit_free, product, verdict,
-            int(hits[0]) if len(hits) else len(quads))
+    hits = unit_free[product[unit_free] == 1]
+    for arr in (product, hits):
+        arr.setflags(write=False)
+    return quads, open_corners, product, verdict, hits
 
 
 def enumerate_abba_quads(square: LatinSquare):

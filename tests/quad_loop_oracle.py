@@ -16,14 +16,14 @@ from latinhadamard.latin import CornerQuad, _quad_frame
 def loop_zero_divisors(table):
     """``find_zero_divisors(table)``, one quad at a time."""
     G = table.signs
-    quads, _, unit_free, product, _, first = table._signed._decision
-    if first == len(quads):
+    quads, *_, hits = table._signed._decision
+    if not len(hits):
         return
-    a, b, c, d = quads[first].tolist()
+    a, b, c, d = quads[int(hits[0])].tolist()
     sign = int(G[b, c] * G[a, d])
     yield ZeroDivisorPair(a + 1, b + 1, 1, c + 1, d + 1, -sign)
     yield ZeroDivisorPair(a + 1, b + 1, -1, c + 1, d + 1, sign)
-    rest = quads[unit_free[product[unit_free] == 1][1:]]
+    rest = quads[hits[1:]]
     i, j, k, l = rest.T
     for (a, b, c, d), sign in zip(rest.tolist(), (G[j, k] * G[i, l]).tolist()):
         for s1 in (1, -1):

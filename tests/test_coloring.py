@@ -168,12 +168,12 @@ def test_flipped_choices_keep_every_quad_product(w):
         rng = np.random.default_rng(20261021 + w)
         flips += [tuple(rng.choice((-1, 1), size=b).tolist()) for _ in range(8)]
     plus = (1,) * b
-    product = _decide(square, propagate_signs(square, plus))[3]
+    product = _decide(square, propagate_signs(square, plus))[2]
     shared = color(square, plus)._decision
-    assert np.array_equal(shared[3], product)
+    assert np.array_equal(shared[2], product)
     for choices in flips:
         G = propagate_signs(square, choices)
-        assert np.array_equal(_decide(square, G)[3], product)
+        assert np.array_equal(_decide(square, G)[2], product)
         assert color(square, choices)._decision is shared
     if w <= 4:
         assert all(H._decision is shared for H in enumerate_colorings(square))
@@ -190,14 +190,14 @@ def test_enumerated_products_equal_single_and_lazy_products():
             assert H._checks is None
             stored = H._decision
             assert H._checks is stored and color(square, H.choices)._decision is stored
-            quads, open_corners, unit_free, product, verdict, _ = stored
+            quads, open_corners, product, verdict, _ = stored
             assert not product.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 product[0] = product[0]
             G = H.signs
             i, j, k, l = quads.T
             assert np.array_equal(product, G[i, k] * G[i, l] * G[j, k] * G[j, l])
-            assert np.array_equal(product, _decide(square, G)[3])
+            assert np.array_equal(product, _decide(square, G)[2])
             assert is_latin_hadamard(H) is verdict
             twin = SignedLatinSquare(H.signed_entries())
             assert twin._checks is None
@@ -206,9 +206,10 @@ def test_enumerated_products_equal_single_and_lazy_products():
             assert twin._decision is lazy and lazy is not stored
             # equal, not the same: the frame cache may have rebuilt the
             # frame since the shared decision was made
-            assert all(np.array_equal(a, b) for a, b in zip(lazy[:3], stored[:3]))
-            assert not lazy[3].flags.writeable
-            assert lazy[3].dtype == np.int64 and np.array_equal(lazy[3], product)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(lazy[:2] + lazy[4:], stored[:2] + stored[4:]))
+            assert not lazy[2].flags.writeable
+            assert lazy[2].dtype == np.int64 and np.array_equal(lazy[2], product)
 
 
 def test_enumerated_verdicts_and_first_divisors_equal_lazy_and_oracles():
@@ -218,8 +219,8 @@ def test_enumerated_verdicts_and_first_divisors_equal_lazy_and_oracles():
     # them without the quad products
     for w in (2, 3, 4):
         for H in enumerate_colorings(construct_latin_square(w)):
-            *_, verdict, first_hit = H._decision
-            assert type(verdict) is bool and type(first_hit) is int
+            *_, verdict, hits = H._decision
+            assert type(verdict) is bool and hits.dtype == np.int64
             twin = SignedLatinSquare(H.signed_entries())
             assert is_latin_hadamard(H) is verdict
             assert verdict is is_latin_hadamard(twin)
@@ -227,7 +228,8 @@ def test_enumerated_verdicts_and_first_divisors_equal_lazy_and_oracles():
             first = next(find_zero_divisors(table_from_signed_square(H)), None)
             assert first == next(find_zero_divisors(table_from_signed_square(twin)), None)
             assert first == next(scan_zero_divisors(table_from_signed_square(H)), None)
-            assert type(twin._checks[5]) is int and twin._checks[5] == first_hit
+            assert twin._checks[4].dtype == np.int64
+            assert np.array_equal(twin._checks[4], hits)
             assert (first is None) == verdict
             assert first is None or all(type(v) is int for v in first)
 
@@ -237,7 +239,7 @@ def scan_checks(H):
     quads, open corners and products of latin._decide: the verdict holds
     when every corner closes and every product is -1; the first divisor
     comes from the first quad off the unit row and column with product +1."""
-    quads, open_corners, _, product = _decide(H.square, H.signs)[:4]
+    quads, open_corners, product = _decide(H.square, H.signs)[:3]
     G = H.signs.tolist()
     rows = list(zip(quads.tolist(), product.tolist()))
     verdict = not len(open_corners) and all(p == -1 for _, p in rows)
@@ -469,14 +471,44 @@ def test_expanded_block_equals_doubling_every_candidate(w, monkeypatch):
         assert np.array_equal(H.signs, signs)
 
 
-def test_enumeration_checks_each_block(monkeypatch):
-    double = coloring._double_signs
+# One sign rule broken in a single-flip row of the doubled rows: an
+# entry of 2, a -1 in the first row, a +1 on the diagonal.
+SIGN_RULES = {
+    "entry-two": ((2, 3), 2, "must be \\+1 or -1"),
+    "first-row": ((0, 2), -1, "first row and first column"),
+    "diagonal": ((3, 3), 1, "diagonal"),
+}
 
-    def one_bad_diagonal_sign(w, choices):
+
+@pytest.mark.parametrize("w", (3, 4))
+@pytest.mark.parametrize("rule", sorted(SIGN_RULES))
+def test_enumeration_checks_each_block(monkeypatch, rule, w):
+    double = coloring._double_signs
+    (r, c), value, message = SIGN_RULES[rule]
+
+    def one_bad_sign(w, choices):
         signs = double(w, choices)
-        signs[len(signs) // 2, 3, 3] = 1
+        signs[len(signs) // 2, r, c] = value  # row t >= 1 negates choice t alone
         return signs
 
-    monkeypatch.setattr(coloring, "_double_signs", one_bad_diagonal_sign)
-    with pytest.raises(ValidationError, match="diagonal"):
-        next(enumerate_colorings(construct_latin_square(3)))
+    monkeypatch.setattr(coloring, "_double_signs", one_bad_sign)
+    candidates = enumerate_colorings(construct_latin_square(w))
+    with pytest.raises(ValidationError, match=message):
+        next(candidates)
+
+
+@pytest.mark.parametrize("w", range(EXHAUSTIVE_MAX_W + 1))
+def test_enumeration_checks_only_the_doubled_rows(w, monkeypatch):
+    # the b + 1 doubled rows are checked; the 2**b expanded candidates,
+    # exact products of checked rows, are not checked again
+    check, checked = coloring._check_signs, []
+
+    def counted(sgn):
+        checked.append(sgn.reshape(-1, sgn.shape[-1], sgn.shape[-1]).shape[0])
+        return check(sgn)
+
+    monkeypatch.setattr(coloring, "_check_signs", counted)
+    candidates = list(enumerate_colorings(construct_latin_square(w)))
+    b = num_free_choices(w)
+    assert len(candidates) == 2 ** b
+    assert checked and sum(checked) <= b + 1

@@ -5,10 +5,12 @@ import pytest
 
 from latinhadamard import (InternalConsistencyError, SignedLatinSquare, SizeError,
                            ValidationError, color, construct_latin_square, enumerate_abba_quads,
-                           num_free_choices, sylvester_hadamard)
+                           find_zero_divisors, num_free_choices, sylvester_hadamard,
+                           table_from_signed_square)
 from latinhadamard import is_latin_hadamard, latin
 from latinhadamard.latin import CornerQuad, LatinSquare, _decide
 
+from block_square_oracle import block_square
 from quad_loop_oracle import loop_abba_quads
 from reference_tables import LATIN_SQUARE_16
 
@@ -42,6 +44,13 @@ def test_w2_matches_known_rows():
 def test_w4_matches_reference_figure():
     square = construct_latin_square(4)
     assert np.array_equal(square.entries, LATIN_SQUARE_16)
+
+
+@pytest.mark.parametrize("w", range(11))
+def test_xor_table_equals_block_recursion(w):
+    entries = construct_latin_square(w).entries
+    assert entries.dtype == np.int64
+    assert np.array_equal(entries, block_square(w))
 
 
 @pytest.mark.parametrize("w", range(6))
@@ -186,7 +195,7 @@ def test_quad_kernel_matches_direct_evaluation(name):
     S = KERNEL_SQUARES[name]()
     n = S.shape[0]
     G = np.random.default_rng(n).choice((-1, 1), size=(n, n))
-    quads, open_corners, _, product = _decide(LatinSquare(S), G)[:4]
+    quads, open_corners, product = _decide(LatinSquare(S), G)[:3]
     _assert_kernel_matches(S, G, quads, open_corners, product)
     if name.isdigit():
         # a structured square: every corner closes, n/2 quads per column pair
@@ -208,9 +217,9 @@ def test_quad_kernel_gives_each_sign_matrix_its_own_product():
     first = _decide(LatinSquare(S), G1)
     second = _decide(LatinSquare(S), G2)
     assert first[0] is second[0]
-    assert not np.array_equal(first[3], second[3])
-    _assert_kernel_matches(S, G1, first[0], first[1], first[3])
-    _assert_kernel_matches(S, G2, second[0], second[1], second[3])
+    assert not np.array_equal(first[2], second[2])
+    _assert_kernel_matches(S, G1, first[0], first[1], first[2])
+    _assert_kernel_matches(S, G2, second[0], second[1], second[2])
 
 
 @pytest.mark.parametrize("name", ["cyclic", "transposed"])
@@ -227,29 +236,74 @@ def test_decision_of_each_matrix_equals_a_scan(name):
         # its closed quads are disjoint 2 x 2 blocks, so flipping one free
         # corner of each +1 quad leaves every product -1: only the open
         # corners then make the verdict False
-        quads, _, _, product = _decide(square, matrices[0])[:4]
+        quads, _, product = _decide(square, matrices[0])[:3]
         for (i, j, k, l), p in zip(quads.tolist(), product.tolist()):
             if p == 1:
                 r, c = next((r, c) for r, c in ((i, k), (i, l), (j, k), (j, l))
                             if r and c and r != c)
                 matrices[0, r, c] *= -1
-        assert (_decide(square, matrices[0])[3] == -1).all()
-        assert _decide(square, matrices[0])[4] is False
+        assert (_decide(square, matrices[0])[2] == -1).all()
+        assert _decide(square, matrices[0])[3] is False
     for G in matrices:
-        quads, open_corners, _, _, verdict, first = _decide(square, G)
-        assert type(verdict) is bool and type(first) is int
+        quads, open_corners, _, verdict, hits = _decide(square, G)
+        assert type(verdict) is bool and hits.dtype == np.int64
         assert is_latin_hadamard(SignedLatinSquare(G * square.entries)) is verdict
         product = [G[i, k] * G[i, l] * G[j, k] * G[j, l] for i, j, k, l in quads.tolist()]
         assert verdict == (not len(open_corners) and all(p == -1 for p in product))
-        assert first == next((q for q, (i, _, k, _) in enumerate(quads.tolist())
-                              if i >= 1 and k >= 1 and product[q] == 1), len(quads))
+        assert hits.tolist() == [q for q, (i, _, k, _) in enumerate(quads.tolist())
+                                 if i >= 1 and k >= 1 and product[q] == 1]
     assert (name == "cyclic") == bool(len(open_corners))
+
+
+def _hit_cases():
+    """(name, signed square): each kernel square with seeded signs that
+    pass the sign rules, and the all-plus and seeded colorings of
+    w = 2..5."""
+    rng = np.random.default_rng(34)
+    for name in sorted(KERNEL_SQUARES):
+        S = KERNEL_SQUARES[name]()
+        n = S.shape[0]
+        G = rng.choice((-1, 1), size=(n, n))
+        G[0, :] = G[:, 0] = 1
+        G[range(1, n), range(1, n)] = -1
+        yield name, SignedLatinSquare(G * S)
+    for w in range(2, 6):
+        b = num_free_choices(w)
+        for choices in [(1,) * b] + [tuple(rng.choice((-1, 1), size=b).tolist())
+                                     for _ in range(3)]:
+            yield f"w={w}", color(construct_latin_square(w), choices)
+
+
+def test_hits_equal_a_four_sign_scan_and_give_two_pairs_each():
+    # the decision lists the zero-divisor hits once; find_zero_divisors
+    # reads them in quad order, s1 = +1 first, two pairs per hit
+    listed_hits = []
+    for name, H in _hit_cases():
+        quads, *_, hits = H._decision
+        G = H.signs.tolist()
+        scan = [q for q, (i, j, k, l) in enumerate(quads.tolist())
+                if i >= 1 and k >= 1 and G[i][k] * G[i][l] * G[j][k] * G[j][l] == 1]
+        assert hits.dtype == np.int64 and hits.tolist() == scan, name
+        with pytest.raises(ValueError, match="read-only"):
+            hits[:1] = hits[:1]
+        if H.square.unit_structure != (True, True):
+            continue
+        expected = []
+        for i, j, k, l in quads[scan].tolist():
+            sign = G[j][k] * G[i][l]
+            expected += [(i + 1, j + 1, 1, k + 1, l + 1, -sign),
+                         (i + 1, j + 1, -1, k + 1, l + 1, sign)]
+        listed = list(find_zero_divisors(table_from_signed_square(H)))
+        assert listed == expected and len(listed) == 2 * len(hits), name
+        listed_hits.append(len(hits))
+    # tables with no hit yield nothing; the others yield every pair
+    assert len(listed_hits) == 4 + 16 and 0 in listed_hits and max(listed_hits) > 0
 
 
 def test_quad_frame_is_read_only():
     # the frame is shared through its cache, and a square keeps its products
     decision = _decide(LatinSquare(KERNEL_SQUARES["cyclic"]()), np.ones((8, 8), dtype=np.int64))
-    for arr in decision[:4]:
+    for arr in decision[:3] + decision[4:]:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = arr[0]
 
