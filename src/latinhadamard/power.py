@@ -13,10 +13,14 @@ per-statistic rejection counts are reduced by integer summation, so
 results are bit-identical regardless of how replications are split
 across worker processes.
 
-Replications run in blocks of at most ``BLOCK_DRAWS`` draws.  A worker
-resets one Philox to each replication's key, draws the samples into the
-rows of a block, then bins and projects the whole block at once.  With
-more than one worker, the calling process runs the first range of
+Replications run in blocks sized to stay in a core's L2 cache: a block
+holds ``BLOCK_DRAWS // max(n, k)`` replications (at least one), so it
+takes at most ``max(n, BLOCK_DRAWS)`` draws and its (replications, k)
+counts and projections at most ``BLOCK_DRAWS`` entries each, whatever
+the replication count.  A worker resets one Philox to each
+replication's key, draws the samples into the rows of a block, then
+bins and projects the whole block at once, while it is still in cache.
+With more than one worker, the calling process runs the first range of
 replications itself and forks one child per other range; each child
 sends back only its rejection counts through a pipe.
 """
@@ -52,9 +56,11 @@ PRESET_WEIGHTS = {
 NORMAL_CRITICAL_975 = 1.95996
 CHI_SQUARE_CRITICAL_95 = {1: 3.84146, 3: 7.81473, 7: 14.0671, 15: 24.9958}
 
-# Draws held at once by one worker: a block of 2**21 doubles (16 MiB),
-# whatever the replication count.  A sample may not exceed one block.
-BLOCK_DRAWS = 1 << 21
+# Draws held at once by one worker: a block of 2**16 doubles (512 KiB),
+# which a core's L2 cache holds while the block is binned.  A larger
+# sample takes a block of its own, one replication.
+BLOCK_DRAWS = 1 << 16
+MAX_N = 1 << 21  # the sample-size ceiling: one replication's draws, 16 MiB
 MAX_REPS = 10 ** 7
 
 
@@ -222,7 +228,7 @@ class PowerSimConfig:
     def __post_init__(self):
         if not isinstance(self.basis, Eigenbasis):
             raise ValidationError(f"basis must be an Eigenbasis, got {type(self.basis).__name__}")
-        for name, lo, limit in (("n", 1, BLOCK_DRAWS), ("reps", 1, MAX_REPS),
+        for name, lo, limit in (("n", 1, MAX_N), ("reps", 1, MAX_REPS),
                                 ("master_seed", 0, 2 ** 64 - 1)):  # a Philox key word
             object.__setattr__(self, name, _integer(getattr(self, name), name, lo, limit))
         _level(self.alpha, 2)  # both critical values are finite
@@ -261,14 +267,16 @@ def _replication_streams(master_seed: int, reps: range):
     One Philox serves the whole range.  Its state is reset to key
     (master seed, rep), counter 0 and an empty buffer, which gives
     exactly the draws of a fresh ``Philox(key=(master seed, rep))`` for
-    a small part of the cost of building one.
+    a small part of the cost of building one.  The state holds Python
+    ints, not numpy arrays: the setter converts each word to uint64
+    itself, and reads ints faster than it indexes arrays.
     """
-    key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
-    bitgen = np.random.Philox(key=key)
+    key = [master_seed & 0xFFFFFFFFFFFFFFFF, 0]
+    bitgen = np.random.Philox(key=0)  # every replication resets the key
     rng = np.random.Generator(bitgen)
     state = {"bit_generator": "Philox",
-             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "state": {"counter": (0, 0, 0, 0), "key": key},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
     for rep in reps:
         key[1] = rep
@@ -278,7 +286,7 @@ def _replication_streams(master_seed: int, reps: range):
 
 def _run_block(cfg: PowerSimConfig, scheme: BinningScheme, chi_crit: float,
                z_crit: float, rep_range: range) -> np.ndarray:
-    rows = max(1, min(BLOCK_DRAWS // cfg.n, len(rep_range)))
+    rows = max(1, min(BLOCK_DRAWS // max(cfg.n, scheme.k), len(rep_range)))
     block = np.empty((rows, cfg.n))
     streams = _replication_streams(cfg.master_seed, rep_range)
     rejections = np.zeros(scheme.k, dtype=np.int64)  # slot 0: X2, slots 1..k-1: T_2..T_k

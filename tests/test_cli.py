@@ -20,7 +20,7 @@ from latinhadamard import (ValidationError, alternate_signed_square_8,
                            canonical_signed_square_8, chisq, cli, coloring,
                            construct_latin_square, enumerate_colorings, power)
 from latinhadamard.cli import run
-from latinhadamard.power import BLOCK_DRAWS, MAX_REPS
+from latinhadamard.power import MAX_N, MAX_REPS
 
 from gram_oracle import gram_is_latin_hadamard
 from reference_tables import SIGNED_SQUARE_8
@@ -166,7 +166,7 @@ def test_power_rejects_non_finite_parameters(capsys, alt):
     assert err.startswith("latinhadamard: error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("flag,value", [("--n", 10 ** 12), ("--n", BLOCK_DRAWS + 1),
+@pytest.mark.parametrize("flag,value", [("--n", 10 ** 12), ("--n", MAX_N + 1),
                                         ("--reps", MAX_REPS + 1)])
 def test_power_size_guard(capsys, monkeypatch, flag, value):
     def unreachable(*args, **kwargs):
@@ -214,6 +214,42 @@ def test_power_csv_bytes_equal_across_worker_counts(capsys, monkeypatch):
         assert (code, err) == (0, "")
         outputs.add(out)
     assert len(outputs) == 1
+
+
+_NORMAL_A = ["--alt", "normal:0,1.3", "--preset", "a"]
+# SHA-256 of ``power ... --seed 20260811 --format csv``, recorded with the
+# engine of 2**21-draw blocks.  Block shape and worker count change no byte.
+_POWER_CSV_SHA256 = [
+    (_NORMAL_A, 200, 2000,
+     "3cac96787c588e2df8108d1686f3affc9218e0dc70e2576bf654da09f5be7b01"),
+    (["--alt", "normal:0.4,1", "--preset", "a"], 200, 2000,
+     "1aa2e522ba1407e00923f7a1f815b8f24e9cdce81be818d1f55f5c8b86e35994"),
+    (["--alt", "t:1", "--preset", "b"], 200, 2000,
+     "9608a9eb56cf7f56a7aa98771258725a03cd30a5dc105d32803c02d8b9c4d5ce"),
+    (["--null", "normal:1.0,0.4472135954999579", "--alt", "gamma:5,0.2",
+      "--preset", "b", "--matrix", "builtin:15"], 200, 2000,
+     "572da6f98fa4cb0c169a9cbffe1b4594e96568475a089614f95239cc81468888"),
+    (["--alt", "normal:0,1.3", "--preset", "c"], 200, 2000,
+     "8efa078153fe2e35c8c7fb77d6b39a9c042febcd1a4399f503b702e71099f74f"),
+    # A sample larger than one block, and many blocks sized by k that end
+    # in a partial one.
+    (_NORMAL_A, 70000, 3,
+     "48b242ee9b175450a44bb0038fd8f2e4109e02e0175a02fefb31fc41ca3392ae"),
+    (_NORMAL_A, 1, 70000,
+     "ce64cc12c0cd276ae7e68a444b0def8f9dbaac299e68dcfa721f5a3dd5ef151f"),
+]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("args,n,reps,sha256", _POWER_CSV_SHA256,
+                         ids=["N(0,1.3)/(a)", "N(0.4,1)/(a)", "t(1)/(b)", "gamma(5,1/5)/(b)",
+                              "N(0,1.3)/(c)", "N(0,1.3)/(a)-n70000", "N(0,1.3)/(a)-n1"])
+def test_power_csv_bytes_are_pinned(capsys, monkeypatch, args, n, reps, sha256, threads):
+    monkeypatch.setattr(power.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    code, out, err = invoke(capsys, "power", *args, "--seed", "20260811", "--n", str(n),
+                            "--reps", str(reps), "--threads", threads, "--format", "csv")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_failed_power_worker_is_exit_two_in_one_line(capsys, monkeypatch):

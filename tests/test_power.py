@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -492,6 +493,17 @@ class TestSimulation:
                 rng.random()
             assert rng.bit_generator.state["has_uint32"] == 1
 
+    @pytest.mark.parametrize("seed", [2 ** 64 - 1, 2 ** 63, 0])
+    def test_reset_stream_equals_fresh_philox_at_key_word_bounds(self, seed):
+        # The reset hands the setter Python ints, which reach uint64 by
+        # another path than the oracle's numpy key array, above 2**63 too.
+        reps = [0, power.MAX_REPS - 1, 2 ** 40]
+        for rep, rng in zip(reps, power._replication_streams(seed, reps)):
+            expected = _replication_stream(seed, rep)
+            assert np.array_equal(rng.random(9), expected.random(9))
+            assert np.array_equal(rng.integers(0, 2 ** 64, 3, dtype=np.uint64),
+                                  expected.integers(0, 2 ** 64, 3, dtype=np.uint64))
+
     def test_replication_streams_are_independent_of_order(self):
         x = _replication_stream(7, 3).normal(size=4)
         _ = _replication_stream(7, 99).normal(size=100)
@@ -533,7 +545,7 @@ class TestSimulation:
         with pytest.raises(SizeError):
             PowerSimConfig(null=DistributionSpec("normal", (0, 1)),
                            alternative=DistributionSpec("normal", (0, 1)),
-                           basis=_basis(), n=power.BLOCK_DRAWS + 1)
+                           basis=_basis(), n=power.MAX_N + 1)
 
     @pytest.mark.parametrize("field,value", [("n", math.nan), ("n", 200.0), ("reps", 10.0),
                                              ("master_seed", 1.5)])
@@ -609,8 +621,9 @@ class TestBlockEngineAgainstOracle:
         reps = range(3, 3 + 157)
         expected = power_oracle.run_block(*inputs, reps)
         assert np.array_equal(power._run_block(*inputs, reps), expected)
-        # Blocks of 24 draws: 24, 3 and 1 replications per block at n = 1, 7, 200,
-        # so 157 replications end in a partial block.
+        # Blocks of 24 draws hold 24 // max(n, k) replications: 3, 3 and 1 at
+        # n = 1, 7, 200 for k = 8, and 1 at k = 16, so 157 replications end
+        # in a partial block.
         monkeypatch.setattr(power, "BLOCK_DRAWS", 24)
         assert np.array_equal(power._run_block(*inputs, reps), expected)
 
@@ -629,6 +642,24 @@ class TestBlockEngineAgainstOracle:
                              basis=_basis("b"), n=30, reps=100, master_seed=4)
         simulate_power(cfg)
         assert shapes == [(33, 30), (33, 30), (33, 30), (1, 30)]
+
+    @pytest.mark.parametrize("basis,n,reps,limit", [
+        (_SYLVESTER_16, 1, 200_000, 8 * 2 ** 20),
+        (_basis("a"), 200, 20_000, 2 * 2 ** 20),
+    ], ids=["sylvester16-n1", "a-n200"])
+    def test_block_memory_bounded_by_max_n_k(self, basis, n, reps, limit):
+        # A block's (rows, k) counts and projections count against it as
+        # its (rows, n) draws do, so the peak does not grow with reps.
+        cfg = PowerSimConfig(null=DistributionSpec("normal", (0, 1)),
+                             alternative=DistributionSpec("normal", (0, 1.3)),
+                             basis=basis, n=n, reps=reps, master_seed=4)
+        tracemalloc.start()
+        try:
+            simulate_power(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit
 
 
 _SCENARIOS = settings(max_examples=8, deadline=None, derandomize=True, database=None)

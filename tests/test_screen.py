@@ -130,7 +130,7 @@ INTEGERS = [
     ("radon", radon, 1, None),
     ("cayley_dickson_table", cayley_dickson_table, 0, 5),
     ("chi_square_critical", lambda df: chi_square_critical(df, 0.05), 1, None),
-    ("PowerSimConfig-n", lambda n: _config(n=n), 1, power.BLOCK_DRAWS),
+    ("PowerSimConfig-n", lambda n: _config(n=n), 1, power.MAX_N),
     ("PowerSimConfig-reps", lambda reps: _config(reps=reps), 1, power.MAX_REPS),
     ("PowerSimConfig-master_seed", lambda seed: _config(master_seed=seed), 0, 2 ** 64 - 1),
     ("simulate_power-threads", lambda threads: simulate_power(_config(), threads), 1, None),
